@@ -34,10 +34,11 @@ from .cluster import correlation_distance, cut_clusters, upgma
 from .fairmatrix import (MetricsMatrix, Provenance, aggregate_over_folds,
                          assemble_matrix, kind_sort_key, per_model_matrix)
 from .ingest import (EncodedDataset, IngestError, encode_features,
-                     extract_groups, fold_normalized, load_dataset,
-                     load_dataset_spec)
-from .metrics import (ThresholdChoice, auc_or_default, confusion_at_threshold,
-                      group_metric_vectors, select_threshold)
+                     extract_groups, fold_normalized, is_path_component,
+                     load_dataset, load_dataset_spec)
+from .metrics import (ThresholdChoice, auc_or_default, balanced_accuracy,
+                      confusion_at_threshold, group_metric_vectors,
+                      select_threshold)
 from .models.base import predict_scores, sample_hypers
 from .models.search import FoldData, KindSearchOutcome, search_kind
 from .pca import align_to_reference, component_cap, fit_pca, full_matrix_pca, project
@@ -488,51 +489,123 @@ class PredictionFileError(ValueError):
     pass
 
 
+class _BadCell(ValueError):
+    """A cell that fails its column's check; the message names no row."""
+
+
+def _decode_label(cell: str) -> int:
+    cell = cell.strip()
+    if cell not in ("0", "1"):
+        raise _BadCell(f"y_true must be 0 or 1, got {cell!r}")
+    return int(cell)
+
+
+def _decode_score(cell: str) -> float:
+    try:
+        s = float(cell)
+    except ValueError:
+        raise _BadCell("non-numeric score") from None
+    if not 0.0 <= s <= 1.0:
+        raise _BadCell(f"score out of range: {s}")
+    return s
+
+
+def _group_decoder(feature: str):
+    def decode(cell: str) -> str:
+        cell = cell.strip()
+        if not cell:
+            raise _BadCell(f"empty group in {feature!r}")
+        return cell
+    return decode
+
+
+def _flag_decoder(column: str):
+    def decode(cell: str) -> bool:
+        cell = cell.strip()
+        if cell not in ("0", "1"):
+            raise _BadCell(f"{column} must be 0 or 1")
+        return cell == "1"
+    return decode
+
+
 def _read_prediction_file(path: str, features: list[str],
                           validation_column: str | None):
-    import csv as _csv
+    """Read one prediction file: y_true, scores, group codes, validation flags.
 
+    Only the needed columns are kept, one list of cells each, and equal
+    cells share one str object, so a kept cell costs one list pointer.
+    Each distinct cell is checked and converted once. An error names the
+    first bad row (the header is row 1; blank lines are skipped and not
+    counted) and, within it, the first failing column in the order y_true,
+    y_score, features, validation column. As with csv.DictReader, cells
+    missing from a short row are empty and a repeated header name reads
+    its last column.
+
+    Each feature maps to (labels, codes): its sorted distinct labels and,
+    per row, the index of the row's label in them.
+    """
+    import csv as _csv
+    from itertools import islice
+
+    needed = ["y_true", "y_score"] + features
+    decoders = [_decode_label, _decode_score] + [_group_decoder(f)
+                                                 for f in features]
+    if validation_column:
+        needed.append(validation_column)
+        decoders.append(_flag_decoder(validation_column))
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = _csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise PredictionFileError(f"{path}: empty file")
-        needed = ["y_true", "y_score"] + features
-        if validation_column:
-            needed.append(validation_column)
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise PredictionFileError(f"{path}: missing columns {missing}")
-        y, scores, val = [], [], []
-        group_cells = {f: [] for f in features}
-        for i, row in enumerate(reader):
-            addr = f"{path}: row {i + 2}"
-            cell = (row["y_true"] or "").strip()
-            if cell not in ("0", "1"):
-                raise PredictionFileError(f"{addr}: y_true must be 0 or 1, "
-                                          f"got {cell!r}")
-            y.append(int(cell))
-            try:
-                s = float(row["y_score"])
-            except (TypeError, ValueError):
-                raise PredictionFileError(f"{addr}: non-numeric score") from None
-            if not 0.0 <= s <= 1.0:
-                raise PredictionFileError(f"{addr}: score out of range: {s}")
-            scores.append(s)
-            for f in features:
-                g = (row[f] or "").strip()
-                if not g:
-                    raise PredictionFileError(f"{addr}: empty group in {f!r}")
-                group_cells[f].append(g)
-            if validation_column:
-                v = (row[validation_column] or "").strip()
-                if v not in ("0", "1"):
-                    raise PredictionFileError(
-                        f"{addr}: {validation_column} must be 0 or 1")
-                val.append(int(v))
-    if not y:
+        where = {name: i for i, name in enumerate(header)}
+        picks = [where[c] for c in needed]
+        width = max(picks) + 1
+        columns: list[list[str]] = [[] for _ in needed]
+        intern = {}.setdefault
+        # a few thousand rows at a time, so each column is taken out by
+        # C-level list and map calls rather than a Python loop per row
+        for chunk in iter(lambda: list(islice(reader, 4096)), []):
+            rows = [row if len(row) >= width else row + [""] * (width - len(row))
+                    for row in chunk if row]
+            for column, i in zip(columns, picks):
+                cells = [row[i] for row in rows]
+                column.extend(map(intern, cells, cells))
+    n_rows = len(columns[0])
+    if not n_rows:
         raise PredictionFileError(f"{path}: no data rows")
-    return (np.array(y, dtype=np.int64), np.array(scores, dtype=np.float64),
-            group_cells, np.array(val, dtype=bool) if validation_column else None)
+
+    tables, errors = [], []
+    for k, (cells, decode) in enumerate(zip(columns, decoders)):
+        table, bad = {}, {}
+        for cell in set(cells):
+            try:
+                table[cell] = decode(cell)
+            except _BadCell as exc:
+                bad[cell] = str(exc)
+        if bad:
+            i = next(i for i, cell in enumerate(cells) if cell in bad)
+            errors.append((i, k, bad[cells[i]]))
+        tables.append(table)
+    if errors:
+        i, _, message = min(errors)
+        raise PredictionFileError(f"{path}: row {i + 2}: {message}")
+
+    def column_array(k, dtype):
+        return np.fromiter(map(tables[k].__getitem__, columns[k]),
+                           dtype=dtype, count=n_rows)
+
+    groups = {}
+    for k, feature in enumerate(features, start=2):
+        labels = tuple(sorted(set(tables[k].values())))
+        code = {label: c for c, label in enumerate(labels)}
+        tables[k] = {cell: code[label] for cell, label in tables[k].items()}
+        groups[feature] = (labels, column_array(k, np.int64))
+    val = column_array(len(needed) - 1, bool) if validation_column else None
+    return column_array(0, np.int64), column_array(1, np.float64), groups, val
 
 
 def audit_external_predictions(
@@ -563,14 +636,18 @@ def audit_external_predictions(
             raise PredictionFileError(f"bad model name {mname!r}")
     if len({m for m, _ in prediction_files}) != len(prediction_files):
         raise PredictionFileError("duplicate model names")
+    for name in [dataset_name] + features:
+        if not is_path_component(name):
+            raise PredictionFileError(f"name {name!r} cannot be a directory "
+                                      f"name")
 
     loaded = {}
     ref_y = ref_groups = ref_val = None
     for mname, path in prediction_files:
-        y, scores, group_cells, val = _read_prediction_file(
+        y, scores, groups, val = _read_prediction_file(
             path, features, validation_column)
         if ref_y is None:
-            ref_y, ref_groups, ref_val = y, group_cells, val
+            ref_y, ref_groups, ref_val = y, groups, val
         else:
             if y.size != ref_y.size:
                 raise PredictionFileError(
@@ -578,7 +655,9 @@ def audit_external_predictions(
                     f"({ref_y.size})")
             if not np.array_equal(y, ref_y):
                 raise PredictionFileError(f"{path}: y_true differs from first file")
-            if group_cells != ref_groups:
+            if any(groups[f][0] != ref_groups[f][0]
+                   or not np.array_equal(groups[f][1], ref_groups[f][1])
+                   for f in features):
                 raise PredictionFileError(f"{path}: group columns differ "
                                           f"from first file")
             if validation_column and not np.array_equal(val, ref_val):
@@ -603,10 +682,8 @@ def audit_external_predictions(
         else:
             counts = confusion_at_threshold(loaded[mname][metric_mask], y_m,
                                             threshold)
-            tpr = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-            tnr = counts.tn / (counts.tn + counts.fp) if counts.tn + counts.fp else 0.0
             thresholds[mname] = ThresholdChoice(
-                t_max=threshold, achieved_ba=(tpr + tnr) / 2.0,
+                t_max=threshold, achieved_ba=balanced_accuracy(counts),
                 n_candidates=1, degenerate=False)
 
     pooled_aucs = {m: auc_or_default(loaded[m][metric_mask], y_m)[0]
@@ -617,16 +694,19 @@ def audit_external_predictions(
     features_out = []
     col_vectors = {}
     for feature in features:
-        cells = [ref_groups[feature][i] for i in range(n_all) if metric_mask[i]]
-        counts: dict[str, int] = {}
-        for c in cells:
-            counts[c] = counts.get(c, 0) + 1
-        if len(counts) < 2:
+        names, codes = ref_groups[feature]
+        present, inverse, sizes = np.unique(
+            codes[metric_mask], return_inverse=True, return_counts=True)
+        if present.size < 2:
             raise PredictionFileError(
                 f"feature {feature!r} has a single group; nothing to compare")
-        labels = tuple(sorted(counts, key=lambda g: (-counts[g], g)))
+        # largest group first, ties by label; names are sorted, so a stable
+        # sort on the negated sizes keeps equal-sized groups in label order
+        rank = np.argsort(-sizes, kind="stable")
+        labels = tuple(names[present[r]] for r in rank)
+        group_sizes = sizes[rank].tolist()
         reference = labels[0]
-        assign = np.array([labels.index(c) for c in cells], dtype=np.int64)
+        assign = np.argsort(rank)[inverse]  # row -> position in labels
 
         vectors = {}
         for mname in models:
@@ -642,7 +722,8 @@ def audit_external_predictions(
         features_out.append({
             "name": feature,
             "reference": reference,
-            "groups": [{"label": l, "size": counts[l]} for l in labels],
+            "groups": [{"label": l, "size": n}
+                       for l, n in zip(labels, group_sizes)],
             "results": [record],
         })
 

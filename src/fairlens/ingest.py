@@ -32,6 +32,17 @@ class IngestError(ValueError):
     """Raised for spec violations, malformed files, or degenerate columns."""
 
 
+def is_path_component(name) -> bool:
+    """True when name can be one directory name under the output directory.
+
+    Dataset and protected-feature names become directories of the rendered
+    figures, so an empty name, a dot segment or a path separator would
+    write outside the output directory.
+    """
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and "/" not in name and "\\" not in name)
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -65,6 +76,9 @@ class DatasetSpec:
     reference_groups: dict = field(default_factory=dict)  # feature -> explicit label
 
     def __post_init__(self):
+        if not is_path_component(self.name):
+            raise IngestError(f"dataset name {self.name!r} cannot be a "
+                              f"directory name")
         by_name = {c.name: c for c in self.columns}
         if len(by_name) != len(self.columns):
             raise IngestError(f"dataset {self.name!r}: duplicate column names")
@@ -80,6 +94,9 @@ class DatasetSpec:
         if not self.protected_features:
             raise IngestError(f"dataset {self.name!r}: no protected features declared")
         for p in self.protected_features:
+            if not is_path_component(p):
+                raise IngestError(f"protected feature name {p!r} cannot be a "
+                                  f"directory name")
             col = by_name.get(p)
             if col is None:
                 raise IngestError(f"protected feature {p!r} not declared as a column")

@@ -142,8 +142,11 @@ def empty_metric_vector() -> MetricVector:
 def mann_whitney_auc(scores, labels) -> float:
     """Fraction of (positive, negative) pairs ranked correctly, ties as 1/2.
 
-    Rank-based: AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg) with
-    midranks for ties. Raises on single-class labels.
+    Rank-based: AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg). Rows
+    with equal scores share the midrank of their run in the sorted order:
+    a run of c equal scores ending at 1-based rank r has midrank
+    r - (c - 1)/2. The positive ranks are summed in row order. Raises on
+    single-class labels.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -151,17 +154,10 @@ def mann_whitney_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
-    r_pos = float(ranks[labels == 1].sum())
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    r_pos = float(midranks[inverse][labels == 1].sum())
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -209,7 +205,17 @@ def select_threshold(scores, labels) -> ThresholdChoice:
 
     Candidates are the midpoints between consecutive distinct sorted scores
     plus the two near-boundary values _EDGE and 1 - _EDGE, so "(almost) all
-    positive" and "(almost) all negative" are always reachable. Exact
+    positive" and "(almost) all negative" are always reachable. A candidate
+    t predicts positive for every score >= t (the inclusive rule of
+    confusion_at_threshold).
+
+    Every candidate is scored in one sweep (the ROC sweep of Fawcett, "An
+    introduction to ROC analysis", 2006): the scores are sorted once, the
+    number of rows below each candidate is found by binary search, and a
+    cumulative count of positives in sorted order splits those rows into
+    false negatives and true negatives. The counts are the integers
+    confusion_at_threshold would tally and BA is computed from them as in
+    balanced_accuracy, so each candidate's BA is the same float. Exact
     maximization over this finite set; ties go to the smallest threshold.
     Single-class validation cannot rank thresholds, so it falls back to 0.5
     with the degenerate flag set.
@@ -228,14 +234,20 @@ def select_threshold(scores, labels) -> ThresholdChoice:
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     candidates = np.concatenate(([_EDGE], mids, [1.0 - _EDGE]))
     candidates = np.unique(candidates)
-    best_t = None
-    best_ba = -1.0
-    for t in candidates:
-        ba = balanced_accuracy(confusion_at_threshold(scores, labels, float(t)))
-        if ba > best_ba:  # strict: ties keep the smaller candidate
-            best_ba = ba
-            best_t = float(t)
-    return ThresholdChoice(t_max=best_t, achieved_ba=best_ba,
+
+    order = np.argsort(scores)
+    pos_below = np.concatenate(([0], np.cumsum(labels[order] == 1)))
+    below = np.searchsorted(scores[order], candidates, side="left")
+    fn = pos_below[below]
+    tn = below - fn
+    n_pos = int(pos_below[-1])
+    n_neg = scores.size - n_pos
+    # n_pos is 0 only for labels other than {0, 1}; TPR is then imputed as 0
+    tpr = (n_pos - fn) / n_pos if n_pos else np.zeros(candidates.size)
+    ba = (tpr + tn / n_neg) / 2.0
+    best = int(np.argmax(ba))  # first maximum: the smallest threshold
+    return ThresholdChoice(t_max=float(candidates[best]),
+                           achieved_ba=float(ba[best]),
                            n_candidates=int(candidates.size))
 
 

@@ -1,4 +1,5 @@
-"""CLI orchestration: config handling, full runs, audit mode, subcommands."""
+"""CLI orchestration: config handling, full runs, audit mode and its
+prediction file reader, subcommands."""
 
 import csv
 import json
@@ -342,6 +343,100 @@ def test_audit_rejects_duplicate_or_bad_model_names(tmp_path):
         audit_external_predictions([("m", str(path)), ("m", str(path))], ["grp"])
     with pytest.raises(PredictionFileError, match="bad model name"):
         audit_external_predictions([("m:x", str(path))], ["grp"])
+
+
+def test_audit_names_cannot_escape_out(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    write_predictions(src / "m.csv", exact_rate_rows())
+    out = tmp_path / "work" / "X"
+    for flags in (["--name", "../escaped"], ["--name", "a/b"], ["--name", ".."],
+                  ["--features", "grp,../g"]):
+        argv = ["audit", "--predictions", f"m={src / 'm.csv'}",
+                "--features", "grp", "--threshold", "0.5", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        assert written == [Path("in"), Path("in/m.csv")], flags
+
+
+def test_run_dataset_name_cannot_escape_out(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    write_recidivism_csv(src / "t.csv", n_rows=200, seed=1)
+    spec = write_spec(src, "t.csv", name="t")
+    raw = json.loads(spec.read_text(encoding="utf-8"))
+    raw["name"] = "../escaped"
+    spec.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "work" / "X"
+    code = main(["run", "--datasets", str(spec), "--seeds", "1", "--folds", "2",
+                 "--search-draws", "1", "--models", "nb", "--out", str(out)])
+    assert code == 1
+    manifest = json.loads((out / "failures.json").read_text(encoding="utf-8"))
+    assert "directory name" in json.dumps(manifest)
+    outside = [p for p in tmp_path.rglob("*")
+               if p.is_file() and src not in p.parents and out not in p.parents]
+    assert outside == []
+
+
+# -- prediction file reader ---------------------------------------------------
+
+def write_lines(path: Path, lines, newline="\n"):
+    path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+
+
+def test_reader_errors_name_the_first_bad_row(tmp_path):
+    path = tmp_path / "p.csv"
+    header = "y_true,y_score,grp,sel"
+    good = ["1,0.9,A,0", "0,0.2,B,0", "1,0.7,A,1", "0,0.4,B,1"]
+    cases = [
+        (good + ["0,abc,B,0"], "row 6: non-numeric score"),
+        (good + ["1,0.5,A,0", "0,nan,B,0"], "row 7: score out of range: nan"),
+        (good + ["0,0.2, ,0"], "row 6: empty group in 'grp'"),
+        (good + ["0,0.2,B,yes"], "row 6: sel must be 0 or 1"),
+        (good + ["0,0.2,B,0", "2,0.2,B,0"], "row 7: y_true must be 0 or 1, got '2'"),
+        # blank lines are skipped and not counted
+        (good[:2] + ["", ""] + good[2:] + ["0,abc,B,0"], "row 6: non-numeric score"),
+        # the first bad row wins over a worse column further down
+        (good + ["0,0.2,B,7", "0,0.2,,0", "5,x,,0"], "row 6: sel must be 0 or 1"),
+        # within a row, y_true is checked before y_score before groups
+        (good + ["5,x,,9"], "row 6: y_true must be 0 or 1, got '5'"),
+        (good + ["1,x,,9"], "row 6: non-numeric score"),
+        (good + ["1,0.3,,9"], "row 6: empty group in 'grp'"),
+        # missing trailing cells are empty
+        (good + ["1,0.3"], "row 6: empty group in 'grp'"),
+        (good + ["1,0.3,A"], "row 6: sel must be 0 or 1"),
+    ]
+    for lines, message in cases:
+        write_lines(path, [header] + lines)
+        with pytest.raises(PredictionFileError) as exc:
+            audit_external_predictions([("m", str(path))], ["grp"],
+                                       validation_column="sel")
+        assert str(exc.value) == f"{path}: {message}", lines
+
+
+def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
+    # 8000 rows, so the reader's chunks of 4096 rows meet inside the file;
+    # B rows come first, but the equal-sized groups are ordered by label
+    rows = exact_rate_rows(2000, 2000, 1000, 3000)[::-1]
+    plain = tmp_path / "plain.csv"
+    write_predictions(plain, rows)
+    messy = tmp_path / "messy.csv"
+    lines = ["y_true,y_score,grp,note"]
+    for i, (y, s, g) in enumerate(rows):
+        if i % 50 == 0:
+            lines.append("")
+        # the unused trailing note cell is missing on every other row
+        lines.append(f"{y},{s},{g}" + (",n" if i % 2 else ""))
+    write_lines(messy, lines, newline="\r\n")
+    a, _ = audit_external_predictions([("m", str(plain))], ["grp"], threshold=0.5)
+    b, _ = audit_external_predictions([("m", str(messy))], ["grp"], threshold=0.5)
+    b["datasets"][0]["source_path"] = a["datasets"][0]["source_path"]
+    assert a == b
+    assert a["datasets"][0]["kept_rows"] == len(rows)
+    groups = a["datasets"][0]["features"][0]["groups"]
+    assert groups == [{"label": "A", "size": 4000}, {"label": "B", "size": 4000}]
 
 
 def test_shipped_dataset_specs_parse():

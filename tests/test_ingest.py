@@ -258,3 +258,11 @@ def test_spec_validation_errors():
         make_spec(protected_features=("age",))
     with pytest.raises(IngestError, match="positive_meaning"):
         make_spec(positive_meaning="good")
+    # names become output directories, so none may leave --out
+    for bad in ("", ".", "..", "../x", "a/b", "a\\b"):
+        with pytest.raises(IngestError, match="directory name"):
+            make_spec(name=bad)
+        with pytest.raises(IngestError, match="directory name"):
+            make_spec(columns=(ColumnSpec(bad, "categorical"),
+                               ColumnSpec("y", "binary", role="label")),
+                      protected_features=(bad,))

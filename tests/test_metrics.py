@@ -1,13 +1,16 @@
 """Metric-layer contracts: confusion tallies, the 13-metric vector, AUC
-against a brute-force pair-counting oracle, and threshold selection against
-an exhaustive grid sweep."""
+against a brute-force pair-counting oracle, threshold selection against
+an exhaustive grid sweep, and bit identity of the one-sort threshold sweep
+and the vectorised midrank AUC with the loops they replaced."""
 
 import numpy as np
 import pytest
 
 from fairlens import METRIC_NAMES
 from fairlens.metrics import (
+    _EDGE,
     ConfusionCounts,
+    ThresholdChoice,
     auc_or_default,
     balanced_accuracy,
     compute_metric_vector,
@@ -255,6 +258,92 @@ def test_threshold_matches_grid_sweep():
         )
         assert ch.achieved_ba == pytest.approx(grid_best, abs=1e-12), f"trial {trial}"
         assert 0.0 < ch.t_max < 1.0
+
+
+# The per-candidate threshold loop and the midrank loop that the one-sort
+# implementations replaced, kept as bit-identity oracles.
+
+def loop_select_threshold(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if np.unique(labels).size < 2:
+        return ThresholdChoice(t_max=0.5, achieved_ba=0.5,
+                               n_candidates=0, degenerate=True)
+    distinct = np.unique(scores)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    candidates = np.unique(np.concatenate(([_EDGE], mids, [1.0 - _EDGE])))
+    best_t = None
+    best_ba = -1.0
+    for t in candidates:
+        ba = balanced_accuracy(confusion_at_threshold(scores, labels, float(t)))
+        if ba > best_ba:
+            best_ba = ba
+            best_t = float(t)
+    return ThresholdChoice(t_max=best_t, achieved_ba=best_ba,
+                           n_candidates=int(candidates.size))
+
+
+def loop_mann_whitney_auc(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC undefined: labels contain a single class")
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    r_pos = float(ranks[labels == 1].sum())
+    return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def tied_inputs(seed, trials):
+    """Small inputs drawn from a handful of values, so ties are heavy; the
+    pool always holds 0, 1, _EDGE and 1 - _EDGE. Some label vectors hold a
+    single class, some use {0, 2} (no row labelled 1)."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([0.0, 1.0, _EDGE, 1.0 - _EDGE])
+    for trial in range(trials):
+        n = 1 if trial % 50 == 0 else int(rng.integers(2, 40))
+        pool = np.concatenate((edges, np.round(rng.uniform(0, 1, size=4), 2)))
+        scores = rng.choice(pool[:int(rng.integers(1, pool.size + 1))], size=n)
+        labels = rng.integers(0, 2, size=n)
+        if trial % 13 == 0:
+            labels[:] = trial % 2
+        elif trial % 17 == 0:
+            labels *= 2
+        yield scores, labels
+
+
+def test_threshold_bit_identical_to_candidate_loop():
+    for scores, labels in tied_inputs(seed=21, trials=3000):
+        assert select_threshold(scores, labels) == \
+            loop_select_threshold(scores, labels), (scores, labels)
+
+
+def test_threshold_bit_identical_on_large_tied_input():
+    rng = np.random.default_rng(4)
+    scores = np.round(rng.uniform(0, 1, size=3000), 3)
+    labels = (rng.uniform(0, 1, size=3000) < scores).astype(int)
+    assert select_threshold(scores, labels) == loop_select_threshold(scores, labels)
+
+
+def test_auc_bit_identical_to_midrank_loop():
+    for scores, labels in tied_inputs(seed=22, trials=3000):
+        try:
+            want = loop_mann_whitney_auc(scores, labels)
+        except ValueError:
+            with pytest.raises(ValueError):
+                mann_whitney_auc(scores, labels)
+            continue
+        assert mann_whitney_auc(scores, labels) == want, (scores, labels)
 
 
 # -------------------------------------------------------------- group-wise
