@@ -42,7 +42,8 @@ from .metrics import (ThresholdChoice, auc_or_default, balanced_accuracy,
 from .models.base import predict_scores, sample_hypers
 from .models.search import FoldData, KindSearchOutcome, search_kind
 from .pca import align_to_reference, component_cap, fit_pca, full_matrix_pca, project
-from .report import export_bundle, load_bundle, matrix_from_record, render_all
+from .report import (BundleError, export_bundle, load_bundle,
+                     matrix_from_record, render_all)
 from .robustness import aggregate_over_seeds, correlation_matrix
 from .splits import FoldSplit, kfold_splits
 
@@ -184,12 +185,14 @@ def _search_job(payload):
 def _finish_kind(outcome: KindSearchOutcome, folds: list[FoldData],
                  test_X: list[np.ndarray], splits: list[FoldSplit],
                  y: np.ndarray) -> _SeedKindResult:
-    """Thresholds from the winner's validation scores, then test scores."""
-    models = outcome.winner_models
+    """Thresholds from the winner's validation scores, then test scores.
+
+    The validation scores are the ones the search computed for the winner.
+    """
     thresholds: list[ThresholdChoice] = []
     fold_scores: list[np.ndarray] = []
-    for f, trained in enumerate(models):
-        val_scores = predict_scores(trained, folds[f].X_val)
+    for f, (trained, val_scores) in enumerate(zip(outcome.winner_models,
+                                                  outcome.winner_val_scores)):
         thresholds.append(select_threshold(val_scores, folds[f].y_val))
         fold_scores.append(predict_scores(trained, test_X[f]))
     pooled = np.concatenate(fold_scores)
@@ -555,25 +558,30 @@ def _read_prediction_file(path: str, features: list[str],
         decoders.append(_flag_decoder(validation_column))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PredictionFileError(f"{path}: empty file")
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise PredictionFileError(f"{path}: missing columns {missing}")
-        where = {name: i for i, name in enumerate(header)}
-        picks = [where[c] for c in needed]
-        width = max(picks) + 1
-        columns: list[list[str]] = [[] for _ in needed]
-        intern = {}.setdefault
-        # a few thousand rows at a time, so each column is taken out by
-        # C-level list and map calls rather than a Python loop per row
-        for chunk in iter(lambda: list(islice(reader, 4096)), []):
-            rows = [row if len(row) >= width else row + [""] * (width - len(row))
-                    for row in chunk if row]
-            for column, i in zip(columns, picks):
-                cells = [row[i] for row in rows]
-                column.extend(map(intern, cells, cells))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise PredictionFileError(f"{path}: empty file")
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise PredictionFileError(f"{path}: missing columns {missing}")
+            where = {name: i for i, name in enumerate(header)}
+            picks = [where[c] for c in needed]
+            width = max(picks) + 1
+            columns: list[list[str]] = [[] for _ in needed]
+            intern = {}.setdefault
+            # a few thousand rows at a time, so each column is taken out by
+            # C-level list and map calls rather than a Python loop per row
+            for chunk in iter(lambda: list(islice(reader, 4096)), []):
+                rows = [row if len(row) >= width
+                        else row + [""] * (width - len(row))
+                        for row in chunk if row]
+                for column, i in zip(columns, picks):
+                    cells = [row[i] for row in rows]
+                    column.extend(map(intern, cells, cells))
+        except UnicodeDecodeError as exc:
+            raise PredictionFileError(
+                f"{path}: not valid UTF-8 ({exc.reason})") from None
     n_rows = len(columns[0])
     if not n_rows:
         raise PredictionFileError(f"{path}: no data rows")
@@ -1021,7 +1029,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PredictionFileError) as exc:
+    except (ConfigError, PredictionFileError, BundleError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except (IngestError, OSError) as exc:
         log.error("%s", exc)

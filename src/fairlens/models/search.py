@@ -57,6 +57,8 @@ class SearchReport:
 class KindSearchOutcome:
     report: SearchReport
     winner_models: list[TrainedModel] | None  # one per fold, winner's params
+    # per fold, the winner's scores on that fold's validation rows
+    winner_val_scores: list[np.ndarray] | None
 
 
 def select_best_model(results: list[DrawResult]) -> DrawResult | None:
@@ -85,7 +87,8 @@ def search_kind(
     if not draws:
         raise ValueError("no draws to search")
     by_signature: dict[str, DrawResult] = {}
-    models_by_signature: dict[str, list[TrainedModel]] = {}
+    # signature -> per-fold (models, validation scores) of a draw that trained
+    fitted: dict[str, tuple[list[TrainedModel], list[np.ndarray]]] = {}
     results: list[DrawResult] = []
 
     for draw in draws:
@@ -99,6 +102,7 @@ def search_kind(
             continue
         result = DrawResult(draw=draw)
         fold_models: list[TrainedModel] = []
+        fold_val_scores: list[np.ndarray] = []
         try:
             for f, fold in enumerate(folds):
                 stream = Stream(*base_ids, "train", f, kind, sig)
@@ -107,13 +111,14 @@ def search_kind(
                 auc, _ = auc_or_default(val_scores, fold.y_val)
                 result.fold_val_aucs.append(auc)
                 fold_models.append(model)
+                fold_val_scores.append(val_scores)
             result.mean_val_auc = float(np.mean(result.fold_val_aucs))
         except _FAILURE_KINDS as exc:
             result.error = f"{type(exc).__name__}: {exc}"
             result.fold_val_aucs = []
             log.warning("%s draw %d failed: %s", kind, draw.index, result.error)
         else:
-            models_by_signature[sig] = fold_models
+            fitted[sig] = (fold_models, fold_val_scores)
         by_signature[sig] = result
         results.append(result)
 
@@ -124,8 +129,11 @@ def search_kind(
         return KindSearchOutcome(
             report=SearchReport(kind=kind, results=results, winner=None),
             winner_models=None,
+            winner_val_scores=None,
         )
+    winner_models, winner_val_scores = fitted[winner.draw.signature]
     return KindSearchOutcome(
         report=SearchReport(kind=kind, results=results, winner=winner),
-        winner_models=models_by_signature[winner.draw.signature],
+        winner_models=winner_models,
+        winner_val_scores=winner_val_scores,
     )

@@ -25,6 +25,7 @@ from . import METRIC_NAMES
 from .cluster import DistanceVector, Linkage, leaf_order
 from .fairmatrix import (MetricsMatrix, Provenance, RowKey, kind_sort_key,
                          matrix_csv_text)
+from .ingest import is_path_component
 from .pca import AlignedProjection
 from .robustness import CorrelationSummary
 
@@ -588,10 +589,25 @@ def export_bundle(bundle: dict, path: str | Path) -> Path:
     return path
 
 
+class BundleError(ValueError):
+    """A bundle that passes the schema but cannot be rendered safely."""
+
+
 def load_bundle(path: str | Path) -> dict:
+    """Read and validate a bundle.
+
+    Dataset and feature names become directories under the output
+    directory of report, cluster and pca, so a name that is not a single
+    directory name raises BundleError.
+    """
     with open(path, encoding="utf-8") as fh:
         bundle = json.load(fh)
     _schema_validate(bundle, BUNDLE_SCHEMA)
+    for ds in bundle["datasets"]:
+        for name in [ds["name"]] + [feat["name"] for feat in ds["features"]]:
+            if not is_path_component(name):
+                raise BundleError(f"{path}: name {name!r} cannot be a "
+                                  f"directory name")
     return bundle
 
 

@@ -361,6 +361,34 @@ def test_audit_names_cannot_escape_out(tmp_path):
         assert written == [Path("in"), Path("in/m.csv")], flags
 
 
+def test_loaded_bundle_names_cannot_escape_out(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    write_predictions(src / "m.csv", exact_rate_rows())
+    assert main(["audit", "--predictions", f"m={src / 'm.csv'}",
+                 "--features", "grp", "--threshold", "0.5",
+                 "--out", str(src / "out")]) == 0
+    bundle = json.loads((src / "out" / "bundle.json").read_text(encoding="utf-8"))
+    out = tmp_path / "work" / "X"
+    for field in ("dataset", "feature"):
+        bad = json.loads(json.dumps(bundle))
+        if field == "dataset":
+            bad["datasets"][0]["name"] = "../escaped"
+        else:
+            bad["datasets"][0]["features"][0]["name"] = "../escaped"
+        path = src / f"bad_{field}.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        before = path.read_bytes()
+        for argv in (["report"], ["cluster"], ["pca", "--components", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--bundle", str(path), "--out", str(out)])
+            assert exc.value.code == 2, (field, argv)
+            assert path.read_bytes() == before
+            outside = [p for p in tmp_path.rglob("*") if src not in p.parents
+                       and p != src]
+            assert outside == [], (field, argv)
+
+
 def test_run_dataset_name_cannot_escape_out(tmp_path):
     src = tmp_path / "in"
     src.mkdir()
@@ -416,6 +444,18 @@ def test_reader_errors_name_the_first_bad_row(tmp_path):
         assert str(exc.value) == f"{path}: {message}", lines
 
 
+def test_reader_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"y_true,y_score,grp\n1,0.9,A\n0,0.2,\xff\n1,0.7,B\n")
+    with pytest.raises(PredictionFileError, match="not valid UTF-8"):
+        audit_external_predictions([("m", str(path))], ["grp"])
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--predictions", f"m={path}", "--features", "grp",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
     # 8000 rows, so the reader's chunks of 4096 rows meet inside the file;
     # B rows come first, but the equal-sized groups are ordered by label
@@ -451,3 +491,32 @@ def test_shipped_dataset_specs_parse():
         assert spec.protected_features
         parsed += 1
     assert parsed >= 4
+
+
+def test_entry_point_bundle_does_not_depend_on_blas_threads(tmp_path):
+    # without the entry point's pin, this run's MLP matrix products round
+    # differently under one and two BLAS threads and the bundles differ
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    import fairlens
+
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=1000, seed=1)
+    spec = write_spec(tmp_path, "t.csv")
+    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=package_root)
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "fairlens", "run", "--datasets", str(spec),
+             "--seeds", "1", "--folds", "3", "--search-draws", "1",
+             "--models", "logit,mlp", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300)
+        digests.append(hashlib.sha256((out / "bundle.json").read_bytes())
+                       .hexdigest())
+    assert digests[0] == digests[1]

@@ -234,6 +234,134 @@ def test_knn_metrics_differ():
     assert not np.allclose(scores["euclidean"], scores["minkowski"])
 
 
+def _oracle_knn_distances(block, train, metric):
+    diff = np.abs(block[:, None, :] - train[None, :, :])
+    if metric == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=2))
+    if metric == "manhattan":
+        return np.sum(diff, axis=2)
+    return np.cbrt(np.sum(diff ** 3, axis=2))
+
+
+def _oracle_knn_scores(X, y, test, n_neighbors, metric):
+    """The blockwise all-pairs predictor that Knn replaced, as the oracle."""
+    y = y.astype(np.float64)
+    k = min(n_neighbors, X.shape[0])
+    out = np.empty(test.shape[0])
+    for start in range(0, test.shape[0], 256):
+        block = test[start:start + 256]
+        d = _oracle_knn_distances(block, X, metric)
+        kth = np.sort(d, axis=1)[:, k - 1]
+        closer = d < kth[:, None]
+        boundary = d == kth[:, None]
+        n_closer = closer.sum(axis=1)
+        pos_closer = closer @ y
+        n_bound = boundary.sum(axis=1)
+        pos_bound = boundary @ y
+        out[start:start + 256] = (
+            pos_closer + (k - n_closer) * pos_bound / n_bound
+        ) / k
+    return out
+
+
+def _assert_knn_matches_oracle(X, y, test, ks):
+    for k in ks:
+        for metric in KNN_METRICS:
+            got = Knn(n_neighbors=k, metric=metric).fit(X, y).predict_scores(test)
+            want = _oracle_knn_scores(X, y, test, k, metric)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                (k, metric)
+
+
+def test_knn_distances_bit_identical():
+    # neighbor choices rarely hinge on the last bit of a distance, so the
+    # distances themselves are compared, on data whose cubes and sums round
+    rng = np.random.default_rng(29)
+    for F in (1, 3, 10, 13):
+        X = np.vstack([rng.normal(size=(150, F)),
+                       np.round(rng.normal(size=(150, F)), 1)])
+        y = rng.integers(0, 2, size=300)
+        test = np.vstack([rng.normal(size=(40, F)), X[::7]])
+        rows = np.unique(X, axis=0)
+        for metric in KNN_METRICS:
+            m = Knn(n_neighbors=5, metric=metric).fit(X, y)
+            got = m._distances(test, np.empty((len(test), m._values.size)),
+                               np.empty((len(test),) + rows.shape))
+            want = _oracle_knn_distances(test, rows, metric)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+                (F, metric)
+
+
+def test_knn_bit_identical_on_duplicated_grid():
+    rng = np.random.default_rng(30)
+    # few values per feature: heavy row duplication and ties at the k-th
+    # distance; 70 queries span several blocks of distinct rows
+    X = rng.integers(0, 3, size=(300, 4)).astype(float)
+    y = rng.integers(0, 2, size=300)
+    test = rng.integers(0, 3, size=(70, 4)).astype(float)
+    n_distinct = np.unique(X, axis=0).shape[0]
+    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20, n_distinct + 7))
+
+
+def test_knn_bit_identical_on_continuous_data():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(120, 10))
+    y = rng.integers(0, 2, size=120)
+    test = rng.normal(size=(90, 10))
+    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20, 500))
+
+
+def test_knn_bit_identical_on_mixed_encoded_features():
+    rng = np.random.default_rng(32)
+    # standardized-looking columns with many repeated values, like the
+    # encoded recidivism features
+    X = np.column_stack([
+        np.round(rng.normal(size=400), 1),
+        rng.integers(0, 2, size=400) * 1.7 - 0.6,
+        rng.integers(0, 52, size=400) / 7.0,
+        rng.poisson(0.3, size=400).astype(float),
+    ])
+    y = rng.integers(0, 2, size=400)
+    test = np.vstack([X[:50], X[:50], X[200:260] + 0.05])
+    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20))
+
+
+def test_knn_bit_identical_on_single_class_and_training_queries():
+    rng = np.random.default_rng(33)
+    X = rng.integers(0, 4, size=(60, 3)).astype(float)
+    test = np.vstack([X, rng.integers(0, 4, size=(10, 3)).astype(float)])
+    for label in (0, 1):
+        y = np.full(60, label)
+        _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20, 100))
+    y = rng.integers(0, 2, size=60)
+    _assert_knn_matches_oracle(X, y, X, ks=(1, 5, 20, 100))
+
+
+def test_knn_terms_computed_once_per_distinct_value(monkeypatch):
+    from fairlens.models import neighbors
+
+    shapes = []
+    real_terms = neighbors._terms
+
+    def counting_terms(diff, metric):
+        shapes.append(diff.shape)
+        real_terms(diff, metric)
+
+    monkeypatch.setattr(neighbors, "_terms", counting_terms)
+    rng = np.random.default_rng(34)
+    X = rng.integers(0, 5, size=(2000, 6)).astype(float)
+    y = rng.integers(0, 2, size=2000)
+    test = rng.integers(0, 5, size=(500, 6)).astype(float)
+    Knn(n_neighbors=9, metric="minkowski").fit(X, y).predict_scores(test)
+    n_queries = np.unique(test, axis=0).shape[0]
+    n_values = sum(np.unique(X[:, j]).size for j in range(6))
+    # one table per block of distinct query rows, one column per distinct
+    # (feature, value) pair: 30 columns, not 2000 x 6 terms per query row
+    assert all(s[0] <= neighbors._BLOCK and s[1] == n_values for s in shapes)
+    assert sum(s[0] for s in shapes) == n_queries
+    assert len(shapes) == -(-n_queries // neighbors._BLOCK)
+
+
 # ----------------------------------------------------------------- tree / rf
 
 def test_tree_depth_one_cannot_solve_xor():
@@ -423,6 +551,17 @@ def test_search_kind_selects_and_returns_fold_models():
     assert outcome.report.winner.mean_val_auc > 0.9
 
 
+def test_search_kind_keeps_winner_validation_scores():
+    rng = np.random.default_rng(20)
+    folds = make_folds(rng)
+    draws = sample_hypers("knn", 3, 0)
+    outcome = search_kind("knn", draws, folds, base_ids=("toy", 0))
+    assert len(outcome.winner_val_scores) == len(folds)
+    for model, scores, fold in zip(outcome.winner_models,
+                                   outcome.winner_val_scores, folds):
+        assert np.array_equal(scores, model.predict_scores(fold.X_val))
+
+
 def test_search_kind_dedupes_identical_draws():
     rng = np.random.default_rng(18)
     folds = make_folds(rng, n_folds=2)
@@ -445,4 +584,5 @@ def test_search_kind_all_failed_excluded():
     outcome = search_kind("logit", draws, folds, base_ids=("toy", 0))
     assert outcome.report.winner is None
     assert outcome.winner_models is None
+    assert outcome.winner_val_scores is None
     assert all(r.failed for r in outcome.report.results)
