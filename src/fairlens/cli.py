@@ -22,7 +22,6 @@ import argparse
 import json
 import logging
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -1035,6 +1034,3 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,7 +19,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
-from jsonschema import validate as _schema_validate
+from jsonschema import ValidationError, validate as _schema_validate
 
 from . import METRIC_NAMES
 from .cluster import DistanceVector, Linkage, leaf_order
@@ -590,19 +590,28 @@ def export_bundle(bundle: dict, path: str | Path) -> Path:
 
 
 class BundleError(ValueError):
-    """A bundle that passes the schema but cannot be rendered safely."""
+    """A bundle file that cannot be read, validated or rendered safely."""
 
 
 def load_bundle(path: str | Path) -> dict:
     """Read and validate a bundle.
 
+    A file that is not JSON or fails BUNDLE_SCHEMA raises BundleError.
     Dataset and feature names become directories under the output
     directory of report, cluster and pca, so a name that is not a single
-    directory name raises BundleError.
+    directory name raises BundleError too.
     """
-    with open(path, encoding="utf-8") as fh:
-        bundle = json.load(fh)
-    _schema_validate(bundle, BUNDLE_SCHEMA)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            bundle = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BundleError(f"{path}: not a JSON bundle ({exc})") from exc
+    try:
+        _schema_validate(bundle, BUNDLE_SCHEMA)
+    except ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
+        raise BundleError(f"{path}: fails the bundle schema at {where}: "
+                          f"{exc.message}") from exc
     for ds in bundle["datasets"]:
         for name in [ds["name"]] + [feat["name"] for feat in ds["features"]]:
             if not is_path_component(name):

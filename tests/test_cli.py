@@ -389,6 +389,22 @@ def test_loaded_bundle_names_cannot_escape_out(tmp_path):
             assert outside == [], (field, argv)
 
 
+@pytest.mark.parametrize("text", ["not json", '{"schema_version": 2}',
+                                  b"\xff\xfe"])
+def test_unreadable_bundle_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    for argv in (["report"], ["cluster"], ["pca", "--components", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bundle", str(path), "--out", str(tmp_path / "X")])
+        assert exc.value.code == 2, argv
+        assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
 def test_run_dataset_name_cannot_escape_out(tmp_path):
     src = tmp_path / "in"
     src.mkdir()
