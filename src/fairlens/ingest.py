@@ -67,13 +67,14 @@ class DatasetSpec:
     """Declarative description of one decision dataset."""
 
     name: str
-    source_path: str
+    source_path: str  # as written in the spec; recorded in the bundle
     columns: tuple[ColumnSpec, ...]
     label_column: str
     positive_value: str
     positive_meaning: str
     protected_features: tuple[str, ...]
     reference_groups: dict = field(default_factory=dict)  # feature -> explicit label
+    base_dir: str = ""  # a relative source_path is read relative to this
 
     def __post_init__(self):
         if not is_path_component(self.name):
@@ -114,7 +115,11 @@ class DatasetSpec:
 
 
 def load_dataset_spec(path: str | Path) -> DatasetSpec:
-    """Read a dataset spec JSON file; source_path resolves relative to it."""
+    """Read a dataset spec JSON file; source_path is read relative to it.
+
+    source_path keeps the text of the spec, so the bundle records the same
+    path wherever the spec and its data are checked out.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -131,13 +136,14 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
         ref = raw.get("reference_groups", {})
         spec = DatasetSpec(
             name=raw["name"],
-            source_path=str((path.parent / raw["source_path"]).resolve()),
+            source_path=raw["source_path"],
             columns=columns,
             label_column=raw["label_column"],
             positive_value=str(raw["positive_value"]),
             positive_meaning=raw["positive_meaning"],
             protected_features=tuple(raw["protected_features"]),
             reference_groups=dict(ref),
+            base_dir=str(path.parent),
         )
     except KeyError as exc:
         raise IngestError(f"dataset spec {path}: missing field {exc}") from exc
@@ -162,7 +168,7 @@ class RawTable:
 
 def load_dataset(spec: DatasetSpec) -> RawTable:
     """Parse the spec's CSV (RFC 4180, UTF-8, header row required)."""
-    path = Path(spec.source_path)
+    path = (Path(spec.base_dir) / spec.source_path).resolve()
     if not path.exists():
         raise IngestError(f"dataset file not found: {path}")
     declared = [c.name for c in spec.columns]

@@ -2,13 +2,17 @@
 prediction file reader, subcommands."""
 
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairlens import METRIC_NAMES
+from fairlens import METRIC_NAMES, MODEL_KINDS
 from fairlens.cli import (ConfigError, PredictionFileError, RunConfig,
                           _resolve_seeds, audit_external_predictions,
                           load_run_config, main)
@@ -509,30 +513,57 @@ def test_shipped_dataset_specs_parse():
     assert parsed >= 4
 
 
+def run_module(argv, out, threads="1"):
+    """sha256 of the bundle.json that `python -m fairlens` writes to out."""
+    import fairlens
+
+    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+               PYTHONPATH=package_root)
+    subprocess.run([sys.executable, "-m", "fairlens"] + argv
+                   + ["--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    return hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest()
+
+
 def test_entry_point_bundle_does_not_depend_on_blas_threads(tmp_path):
     # without the entry point's pin, this run's MLP matrix products round
     # differently under one and two BLAS threads and the bundles differ
-    import hashlib
-    import os
-    import subprocess
-    import sys
-
-    import fairlens
-
     write_recidivism_csv(tmp_path / "t.csv", n_rows=1000, seed=1)
     spec = write_spec(tmp_path, "t.csv")
-    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    argv = ["run", "--datasets", str(spec), "--seeds", "1", "--folds", "3",
+            "--search-draws", "1", "--models", "logit,mlp"]
+    digests = [run_module(argv, tmp_path / f"out{threads}", threads)
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1]
+
+
+# sha256 of bundle.json for the fixed run below. A change that alters the
+# bundle on purpose updates this constant and says why in CHANGES.md.
+GOLDEN_BUNDLE_SHA256 = ("54ca2318cdfa6f0d708f64a5903dc0ce"
+                        "083ecd9e065cecbcc96757ce9fba7cab")
+
+
+def test_golden_bundle_hash(tmp_path):
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=1000, seed=1)
+    spec = write_spec(tmp_path, "t.csv")
+    argv = ["run", "--datasets", str(spec), "--seeds", "1", "--folds", "3",
+            "--search-draws", "2", "--models", ",".join(MODEL_KINDS)]
+    assert run_module(argv, tmp_path / "out") == GOLDEN_BUNDLE_SHA256
+
+
+def test_bundle_bytes_do_not_depend_on_checkout_dir(tmp_path):
     digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=package_root)
-        out = tmp_path / f"out{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "fairlens", "run", "--datasets", str(spec),
-             "--seeds", "1", "--folds", "3", "--search-draws", "1",
-             "--models", "logit,mlp", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300)
-        digests.append(hashlib.sha256((out / "bundle.json").read_bytes())
-                       .hexdigest())
+    for where in ("a", "b/c"):
+        root = tmp_path / where
+        root.mkdir(parents=True)
+        write_recidivism_csv(root / "t.csv", n_rows=300, seed=6)
+        spec = write_spec(root, "t.csv")
+        assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                     "--folds", "3", "--search-draws", "1", "--models", "nb",
+                     "--out", str(root / "out")]) == 0
+        text = (root / "out" / "bundle.json").read_bytes()
+        assert json.loads(text)["datasets"][0]["source_path"] == "t.csv"
+        digests.append(hashlib.sha256(text).hexdigest())
     assert digests[0] == digests[1]
