@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRIC_NAMES, MODEL_KINDS
-from .metrics import (
-    ConfusionCounts,
-    MetricVector,
-    auc_or_default,
-    compute_metric_vector,
-    empty_metric_vector,
-)
+from .metrics import MetricVector, group_metric_vectors
 
 COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"), ("PPV", "FDR"), ("NPV", "FOR"))
 
@@ -48,7 +42,6 @@ class Provenance:
     dataset: str
     feature: str
     seed: int
-    aggregation: str = "micro"
 
 
 @dataclass
@@ -63,13 +56,6 @@ class MetricsMatrix:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def models(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.model not in seen:
-                seen.append(r.model)
-        return tuple(seen)
 
     def groups(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -161,31 +147,29 @@ def fairness_ratio(m: MetricsMatrix, metric: str, group_g: str, group_h: str,
 
 
 def aggregate_over_folds(
-    fold_counts: list[ConfusionCounts | None],
     fold_scores: list[np.ndarray],
     fold_labels: list[np.ndarray],
+    fold_assignments: list[np.ndarray],
+    thresholds: list[float],
+    group_labels: tuple[str, ...] | list[str],
     n_total: int,
-) -> MetricVector:
-    """Pool one group's per-fold results: sum counts, rank pooled scores.
+) -> dict[str, MetricVector]:
+    """One MetricVector per group, pooled over the test folds.
 
-    Rate metrics are micro-averaged (counts summed across test folds before
-    dividing); AUC is computed once on the concatenated test scores. Folds
-    where the group was absent contribute nothing.
+    The folds' rows are concatenated and each row is judged against its own
+    fold's threshold, so a group's confusion counts are the sums of its
+    per-fold counts (micro aggregation). AUC ranks the group's pooled rows,
+    kept in fold order. A group absent from every fold gets the fully
+    imputed vector; an audit is the case of a single fold.
     """
-    if not fold_counts:
+    if not fold_scores:
         raise ValueError("need at least one fold")
-    total: ConfusionCounts | None = None
-    for c in fold_counts:
-        if c is None:
-            continue
-        total = c if total is None else total + c
-    if total is None or total.total == 0:
-        return empty_metric_vector()
-    nonempty = [s for s in fold_scores if len(s) > 0]
-    scores = np.concatenate(nonempty) if nonempty else np.array([])
-    labels = np.concatenate([l for l in fold_labels if len(l) > 0]) if nonempty else np.array([])
-    auc, auc_flag = auc_or_default(scores, labels)
-    return compute_metric_vector(total, auc, n_total, auc_flag)
+    row_thresholds = np.repeat(np.asarray(thresholds, dtype=np.float64),
+                               [len(s) for s in fold_scores])
+    return group_metric_vectors(
+        np.concatenate(fold_scores), np.concatenate(fold_labels),
+        np.concatenate(fold_assignments), group_labels, row_thresholds,
+        n_total)
 
 
 def check_complement_variances(m: MetricsMatrix, tol: float = 1e-12) -> list[str]:

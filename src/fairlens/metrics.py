@@ -1,4 +1,4 @@
-"""Confusion counts, the 13 classification metrics, ROC/AUC, and
+"""Confusion counts, the 13 classification metrics, AUC, and
 balanced-accuracy threshold selection.
 
 Canonical metric order is METRIC_NAMES: AUC, A, BA, FPR, TPR, FNR, TNR, PPV,
@@ -14,7 +14,6 @@ which cells are imputations rather than measurements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +43,6 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True)
-class RocCurve:
-    """Operating points (threshold, fpr, tpr), threshold descending."""
-
-    points: tuple[tuple[float, float, float], ...]
-    auc: float
-
-
-@dataclass(frozen=True)
 class ThresholdChoice:
     t_max: float
     achieved_ba: float
@@ -73,8 +64,11 @@ class MetricVector:
         return bool(self.flags[METRIC_NAMES.index(name)])
 
 
-def confusion_at_threshold(scores, labels, t: float) -> ConfusionCounts:
-    """Tally counts under the inclusive rule: score >= t predicts positive."""
+def confusion_at_threshold(scores, labels, t) -> ConfusionCounts:
+    """Tally counts under the inclusive rule: score >= t predicts positive.
+
+    t is one threshold for every row or an array with one per row.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
@@ -161,31 +155,6 @@ def mann_whitney_auc(scores, labels) -> float:
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc(scores, labels) -> RocCurve:
-    """ROC operating points over the distinct scores plus the AUC.
-
-    Points run from (inf, 0, 0) down to the smallest score, which lands at
-    (1, 1) since every row is predicted positive there.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC undefined: labels contain a single class")
-    desc = np.argsort(-scores, kind="stable")
-    s, y = scores[desc], labels[desc]
-    points = [(math.inf, 0.0, 0.0)]
-    tp = fp = 0
-    for i in range(s.size):
-        tp += int(y[i] == 1)
-        fp += int(y[i] != 1)
-        if i + 1 < s.size and s[i + 1] == s[i]:
-            continue  # emit one point per distinct threshold
-        points.append((float(s[i]), fp / n_neg, tp / n_pos))
-    return RocCurve(points=tuple(points), auc=mann_whitney_auc(scores, labels))
-
-
 def auc_or_default(scores, labels) -> tuple[float, bool]:
     """AUC, or (0.5, flagged) when only one class is present."""
     try:
@@ -252,18 +221,20 @@ def select_threshold(scores, labels) -> ThresholdChoice:
 
 
 def group_metric_vectors(scores, labels, assignments, group_labels,
-                         t: float, n_total: int) -> dict[str, MetricVector]:
+                         t, n_total: int) -> dict[str, MetricVector]:
     """One MetricVector per group, computed on that group's rows only.
 
-    PPR uses n_total (whole dataset); PPREV uses the group's own scored-row
-    count. Group AUC ranks the group's own score/label pairs. A group with
-    zero rows here gets the fully imputed vector.
+    t is one threshold for every row or an array with one per row. PPR
+    uses n_total (whole dataset); PPREV uses the group's own scored-row
+    count. Group AUC ranks the group's own score/label pairs in row order.
+    A group with zero rows here gets the fully imputed vector.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     assignments = np.asarray(assignments)
     if not (scores.shape == labels.shape == assignments.shape):
         raise ValueError("scores, labels, and assignments must align")
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), scores.shape)
     out: dict[str, MetricVector] = {}
     for k, name in enumerate(group_labels):
         mask = assignments == k
@@ -272,6 +243,6 @@ def group_metric_vectors(scores, labels, assignments, group_labels,
             continue
         g_scores, g_labels = scores[mask], labels[mask]
         auc, auc_flag = auc_or_default(g_scores, g_labels)
-        counts = confusion_at_threshold(g_scores, g_labels, t)
+        counts = confusion_at_threshold(g_scores, g_labels, t[mask])
         out[name] = compute_metric_vector(counts, auc, n_total, auc_flag)
     return out

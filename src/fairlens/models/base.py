@@ -16,7 +16,7 @@ since their predictions remain well-defined.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class TrainedModel:
     kind: str
     model: object
     draw: HyperDraw
-    provenance: dict = field(default_factory=dict)
 
     def predict_scores(self, X) -> np.ndarray:
         return predict_scores(self, X)

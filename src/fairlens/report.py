@@ -15,6 +15,7 @@ value was imputed (flagged) carry a hatched overlay.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -133,7 +134,7 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
     row_order = leaf_order(row_linkage)
 
     p = matrix.provenance
-    title = f"{p.dataset} / {p.feature} / seed {p.seed} ({p.aggregation}-averaged)"
+    title = f"{p.dataset} / {p.feature} / seed {p.seed} (micro-averaged)"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -580,13 +581,27 @@ def bundle_json_text(bundle: dict) -> str:
     return "".join(out) + "\n"
 
 
-def export_bundle(bundle: dict, path: str | Path) -> Path:
+def write_atomic(path: str | Path, text: str) -> Path:
+    """Write text to a temporary file beside path, then rename it onto path.
+
+    A crash or a failed write leaves path as it was, never half written,
+    and removes the temporary file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = bundle_json_text(bundle)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
+
+
+def export_bundle(bundle: dict, path: str | Path) -> Path:
+    return write_atomic(path, bundle_json_text(bundle))
 
 
 class BundleError(ValueError):
@@ -664,13 +679,6 @@ def aligned_from_record(pca_rec: dict) -> AlignedProjection:
     )
 
 
-def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
-
-
 def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
     """Write every figure and CSV sidecar for a bundle.
 
@@ -688,10 +696,10 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
                 matrix = matrix_from_record(ds["name"], feat["name"], rec)
                 col_link = linkage_from_record(rec["col_linkage"])
                 row_link = linkage_from_record(rec["row_linkage"])
-                written.append(_write_text(
+                written.append(write_atomic(
                     cell / "clustermap.svg",
                     render_clustermap_svg(matrix, col_link, row_link)))
-                written.append(_write_text(cell / "matrix.csv",
+                written.append(write_atomic(cell / "matrix.csv",
                                            matrix_csv_text(matrix)))
                 pca_rec = rec["pca"]
                 if pca_rec is not None and int(pca_rec["k"]) >= 2:
@@ -705,7 +713,7 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
                         )
                     title = (f"{ds['name']} / {feat['name']} / seed {rec['seed']} "
                              f"(axes from {pca_rec['reference_model']})")
-                    written.append(_write_text(
+                    written.append(write_atomic(
                         cell / "pca.svg",
                         render_pca_scatter_svg(aligned, title=title)))
     rob = bundle["robustness"]
@@ -722,7 +730,7 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
             lines = ["condition," + ",".join(labels)]
             for label, row in zip(labels, mat):
                 lines.append(label + "," + ",".join("%.17g" % v for v in row))
-            written.append(_write_text(rd / name, "\n".join(lines) + "\n"))
-        written.append(_write_text(rd / "heatmap.svg",
+            written.append(write_atomic(rd / name, "\n".join(lines) + "\n"))
+        written.append(write_atomic(rd / "heatmap.svg",
                                    render_robustness_heatmap_svg(summary)))
     return written

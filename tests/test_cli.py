@@ -201,6 +201,47 @@ def test_pca_subcommand_changes_component_count(tiny_run, tmp_path):
                     assert rec["pca"]["k"] == 2
 
 
+def test_pca_default_components_keeps_bundle_bytes(tiny_run, tmp_path):
+    code, out = tiny_run
+    rng = np.random.default_rng(3)
+    y = rng.integers(0, 2, size=600)
+    groups = rng.choice(["A", "B", "C", "D"], size=600)
+    for name in ("m1", "m2"):
+        scores = np.clip(0.3 * y + rng.uniform(0, 0.7, size=600), 0, 1)
+        write_predictions(tmp_path / f"{name}.csv", zip(y, scores, groups))
+    assert main(["audit", "--predictions", f"m1={tmp_path / 'm1.csv'}",
+                 "--predictions", f"m2={tmp_path / 'm2.csv'}",
+                 "--features", "grp", "--out", str(tmp_path / "audit")]) == 0
+    for bundle in (out / "bundle.json", tmp_path / "audit" / "bundle.json"):
+        assert any(rec["pca"] is not None and rec["pca"]["k"] >= 2
+                   for feat in load_bundle(bundle)["datasets"][0]["features"]
+                   for rec in feat["results"])
+        work = tmp_path / "b.json"
+        work.write_bytes(bundle.read_bytes())
+        assert main(["pca", "--bundle", str(work)]) == 0
+        assert work.read_bytes() == bundle.read_bytes(), bundle
+
+
+def test_failed_writes_keep_old_files_and_leave_no_temp(tiny_run, tmp_path,
+                                                        monkeypatch):
+    code, out = tiny_run
+    work = tmp_path / "b.json"
+    work.write_bytes((out / "bundle.json").read_bytes())
+    rerendered = tmp_path / "re"
+    assert main(["report", "--bundle", str(work), "--out", str(rerendered)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    # pca with two components would rewrite the bundle in place
+    assert main(["pca", "--bundle", str(work), "--components", "2"]) == 1
+    assert main(["report", "--bundle", str(work), "--out", str(rerendered)]) == 1
+    after = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == before
+
+
 def test_missing_dataset_writes_failure_manifest(tmp_path):
     spec = write_spec(tmp_path, "absent.csv", name="ghost")
     out = tmp_path / "out"

@@ -16,7 +16,10 @@ from fairlens.fairmatrix import (
 )
 from fairlens.metrics import (
     ConfusionCounts,
+    auc_or_default,
     compute_metric_vector,
+    confusion_at_threshold,
+    empty_metric_vector,
     group_metric_vectors,
 )
 
@@ -102,7 +105,8 @@ def test_per_model_restriction_and_restack():
     sub = per_model_matrix(m, "mlp")
     assert sub.values.shape == (3, 13)
     assert [r.group for r in sub.rows] == list(groups)
-    stacked = np.vstack([per_model_matrix(m, k).values for k in m.models()])
+    stacked = np.vstack([per_model_matrix(m, k).values
+                         for k in ("logit", "mlp", "nb")])
     assert np.array_equal(stacked, m.values)
     with pytest.raises(ValueError, match="not present"):
         per_model_matrix(m, "knn")
@@ -141,28 +145,40 @@ def test_fairness_ratio_zero_denominator_undefined():
     assert fairness_ratio(m, "FPR", "a", "b") is None
 
 
+def one_group(fold_scores):
+    return [np.zeros(len(s), dtype=np.int64) for s in fold_scores]
+
+
 def test_aggregate_pools_counts():
-    c = ConfusionCounts(tp=1, fp=0, tn=1, fn=0)
     scores = [np.array([0.9, 0.1]), np.array([0.8, 0.2])]
     labels = [np.array([1, 0]), np.array([1, 0])]
-    v = aggregate_over_folds([c, c], scores, labels, n_total=4)
+    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.5],
+                             ["g"], n_total=4)["g"]
     assert v["TPR"] == 1.0
     assert v["A"] == 1.0
+    assert v["AUC"] == 1.0
+    # each row is judged against its own fold's threshold
+    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.85],
+                             ["g"], n_total=4)["g"]
+    assert v["TPR"] == 0.5
+    assert v["A"] == 0.75
     assert v["AUC"] == 1.0
 
 
 def test_aggregate_skips_empty_folds():
-    c = ConfusionCounts(tp=2, fp=1, tn=1, fn=1)
     scores = [np.array([0.9, 0.7, 0.3, 0.6, 0.2]), np.array([])]
-    labels = [np.array([1, 1, 0, 0, 1]), np.array([])]
-    v = aggregate_over_folds([c, None], scores, labels, n_total=5)
+    labels = [np.array([1, 1, 0, 0, 1]), np.array([], dtype=np.int64)]
+    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.99],
+                             ["g"], n_total=5)["g"]
     assert v["A"] == pytest.approx(3 / 5)
     assert not v.flagged("A")
 
 
 def test_aggregate_all_empty_gives_flagged_vector():
-    v = aggregate_over_folds([None, None], [np.array([])] * 2,
-                             [np.array([])] * 2, n_total=10)
+    scores = [np.array([])] * 2
+    v = aggregate_over_folds(scores, [np.array([], dtype=np.int64)] * 2,
+                             one_group(scores), [0.5, 0.5], ["g"],
+                             n_total=10)["g"]
     assert v.flags.all()
 
 
@@ -174,10 +190,82 @@ def test_aggregate_pooled_auc_matches_pair_oracle():
         scores = [rng.integers(0, 10, size=8) / 9.0 for _ in range(3)]
         labels = [rng.integers(0, 2, size=8) for _ in range(3)]
         labels[0][:2] = [0, 1]
-        counts = [ConfusionCounts(1, 1, 1, 1)] * 3
-        v = aggregate_over_folds(counts, scores, labels, n_total=24)
+        v = aggregate_over_folds(scores, labels, one_group(scores),
+                                 [0.5] * 3, ["g"], n_total=24)["g"]
         want = pair_count_auc(np.concatenate(scores), np.concatenate(labels))
         assert v["AUC"] == pytest.approx(want, abs=1e-12)
+
+
+def old_aggregate_over_folds(fold_counts, fold_scores, fold_labels, n_total):
+    """Copy of the per-group pooling the fold-pooled aggregate_over_folds
+    replaced: sum the fold counts, rank the concatenated fold scores."""
+    if not fold_counts:
+        raise ValueError("need at least one fold")
+    total = None
+    for c in fold_counts:
+        if c is None:
+            continue
+        total = c if total is None else total + c
+    if total is None or total.total == 0:
+        return empty_metric_vector()
+    nonempty = [s for s in fold_scores if len(s) > 0]
+    scores = np.concatenate(nonempty) if nonempty else np.array([])
+    labels = np.concatenate([l for l in fold_labels if len(l) > 0]) if nonempty else np.array([])
+    auc, auc_flag = auc_or_default(scores, labels)
+    return compute_metric_vector(total, auc, n_total, auc_flag)
+
+
+def fold_group_loop(fold_scores, fold_labels, fold_assignments, thresholds,
+                    group_labels, n_total):
+    """Oracle: copy of the fold x group loop that run used to pool a kind's
+    test folds, one confusion tally per (group, fold)."""
+    by_group = {}
+    for g_idx, label in enumerate(group_labels):
+        fold_counts, fold_s, fold_l = [], [], []
+        for f in range(len(fold_scores)):
+            mask = fold_assignments[f] == g_idx
+            s = fold_scores[f][mask]
+            yl = fold_labels[f][mask]
+            if s.size == 0:
+                fold_counts.append(None)
+            else:
+                fold_counts.append(confusion_at_threshold(s, yl, thresholds[f]))
+            fold_s.append(s)
+            fold_l.append(yl)
+        by_group[label] = old_aggregate_over_folds(fold_counts, fold_s, fold_l,
+                                                   n_total)
+    return by_group
+
+
+def test_aggregate_bit_identical_to_fold_group_loop():
+    rng = np.random.default_rng(11)
+    groups = ("big", "mid", "gone_in_fold0", "one_class", "never")
+    for trial in range(200):
+        n_folds = int(rng.integers(1, 6))
+        sizes = rng.integers(0, 40, size=n_folds)
+        sizes[0] = max(sizes[0], 1)
+        # few distinct scores, so ties within and across folds are common
+        scores = [rng.integers(0, 12, size=n) / 11.0 for n in sizes]
+        labels = [rng.integers(0, 2, size=n) for n in sizes]
+        assign = [rng.integers(0, 4, size=n) for n in sizes]
+        assign[0][assign[0] == 2] = 0  # group 2 is absent from fold 0
+        for y, a in zip(labels, assign):
+            y[a == 3] = 1              # group 3 holds positives only
+        # thresholds on score values too, to exercise the inclusive rule
+        thresholds = list(rng.integers(0, 23, size=n_folds) / 22.0)
+        n_total = int(sizes.sum()) + 5
+        got = aggregate_over_folds(scores, labels, assign, thresholds, groups,
+                                   n_total)
+        want = fold_group_loop(scores, labels, assign, thresholds, groups,
+                               n_total)
+        assert list(got) == list(want)
+        for g in groups:
+            assert np.array_equal(got[g].values.view(np.int64),
+                                  want[g].values.view(np.int64)), (trial, g)
+            assert np.array_equal(got[g].flags, want[g].flags), (trial, g)
+        assert got["never"].flags.all()
+        if np.any(np.concatenate(assign) == 3):
+            assert got["one_class"].flagged("AUC")
 
 
 def test_matrix_csv_round_trips_values():

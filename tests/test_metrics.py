@@ -18,7 +18,6 @@ from fairlens.metrics import (
     empty_metric_vector,
     group_metric_vectors,
     mann_whitney_auc,
-    roc_auc,
     select_threshold,
 )
 
@@ -183,24 +182,6 @@ def test_auc_single_class_raises_and_default():
         mann_whitney_auc([0.1, 0.9], [1, 1])
     auc, flagged = auc_or_default([0.1, 0.9], [1, 1])
     assert auc == 0.5 and flagged
-
-
-def test_roc_endpoints_and_monotonicity():
-    rng = np.random.default_rng(8)
-    scores = rng.integers(0, 8, size=40) / 7.0
-    labels = rng.integers(0, 2, size=40)
-    labels[:2] = [0, 1]
-    curve = roc_auc(scores, labels)
-    fprs = [p[1] for p in curve.points]
-    tprs = [p[2] for p in curve.points]
-    assert (fprs[0], tprs[0]) == (0.0, 0.0)
-    assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
-    # thresholds strictly descending, rates non-decreasing
-    ts = [p[0] for p in curve.points]
-    assert all(a > b for a, b in zip(ts, ts[1:]))
-    assert all(a <= b for a, b in zip(fprs, fprs[1:]))
-    assert all(a <= b for a, b in zip(tprs, tprs[1:]))
-    assert curve.auc == pytest.approx(pair_count_auc(scores, labels), abs=1e-12)
 
 
 # ----------------------------------------------------------------- threshold
