@@ -700,7 +700,7 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
                     cell / "clustermap.svg",
                     render_clustermap_svg(matrix, col_link, row_link)))
                 written.append(write_atomic(cell / "matrix.csv",
-                                           matrix_csv_text(matrix)))
+                                            matrix_csv_text(matrix)))
                 pca_rec = rec["pca"]
                 if pca_rec is not None and int(pca_rec["k"]) >= 2:
                     aligned = aligned_from_record(pca_rec)
@@ -732,5 +732,5 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
                 lines.append(label + "," + ",".join("%.17g" % v for v in row))
             written.append(write_atomic(rd / name, "\n".join(lines) + "\n"))
         written.append(write_atomic(rd / "heatmap.svg",
-                                   render_robustness_heatmap_svg(summary)))
+                                    render_robustness_heatmap_svg(summary)))
     return written
