@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import MODEL_KINDS
-from .ingest import IngestError, is_path_component
+from .ingest import IngestError, is_path_component, read_columns
 from .pipeline import (ConfigError, PredictionFileError, RunConfig,
                        audit_predictions, recluster, reproject, run_pipeline)
 from .report import (BundleError, export_bundle, load_bundle, render_all,
@@ -124,53 +124,22 @@ def _read_prediction_file(path: str, features: list[str],
                           validation_column: str | None):
     """Read one prediction file: y_true, scores, group codes, validation flags.
 
-    Only the needed columns are kept, one list of cells each, and equal
-    cells share one str object, so a kept cell costs one list pointer.
-    Each distinct cell is checked and converted once. An error names the
-    first bad row (the header is row 1; blank lines are skipped and not
-    counted) and, within it, the first failing column in the order y_true,
-    y_score, features, validation column. As with csv.DictReader, cells
-    missing from a short row are empty and a repeated header name reads
-    its last column.
+    The file is read by ingest.read_columns, and each distinct cell is
+    checked and converted once. An error names the first bad row (the
+    header is row 1; blank lines are not counted) and, within it, the first
+    failing column in the order y_true, y_score, features, validation
+    column.
 
     Each feature maps to (labels, codes): its sorted distinct labels and,
     per row, the index of the row's label in them.
     """
-    import csv as _csv
-    from itertools import islice
-
     needed = ["y_true", "y_score"] + features
     decoders = [_decode_label, _decode_score] + [_group_decoder(f)
                                                  for f in features]
     if validation_column:
         needed.append(validation_column)
         decoders.append(_flag_decoder(validation_column))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise PredictionFileError(f"{path}: empty file")
-            missing = [c for c in needed if c not in header]
-            if missing:
-                raise PredictionFileError(f"{path}: missing columns {missing}")
-            where = {name: i for i, name in enumerate(header)}
-            picks = [where[c] for c in needed]
-            width = max(picks) + 1
-            columns: list[list[str]] = [[] for _ in needed]
-            intern = {}.setdefault
-            # a few thousand rows at a time, so each column is taken out by
-            # C-level list and map calls rather than a Python loop per row
-            for chunk in iter(lambda: list(islice(reader, 4096)), []):
-                rows = [row if len(row) >= width
-                        else row + [""] * (width - len(row))
-                        for row in chunk if row]
-                for column, i in zip(columns, picks):
-                    cells = [row[i] for row in rows]
-                    column.extend(map(intern, cells, cells))
-        except UnicodeDecodeError as exc:
-            raise PredictionFileError(
-                f"{path}: not valid UTF-8 ({exc.reason})") from None
+    columns = read_columns(path, needed, PredictionFileError)
     n_rows = len(columns[0])
     if not n_rows:
         raise PredictionFileError(f"{path}: no data rows")
@@ -232,6 +201,8 @@ def audit_external_predictions(
             raise PredictionFileError(f"bad model name {mname!r}")
     if len({m for m, _ in prediction_files}) != len(prediction_files):
         raise PredictionFileError("duplicate model names")
+    if len(set(features)) != len(features):
+        raise PredictionFileError(f"repeated feature names in {features}")
     for name in [dataset_name] + features:
         if not is_path_component(name):
             raise PredictionFileError(f"name {name!r} cannot be a directory "
@@ -348,7 +319,8 @@ def _update_cells(args, update) -> int:
     """Call update(dataset, feature, record) on each bundle cell that
     matches --dataset, --feature and --seed, then write the bundle to --out
     (default: in place). update returns whether it changed the cell; exit
-    code 1 when none changed."""
+    code 1 when none changed. A cell that update rejects stops the command
+    before anything is written."""
     bundle = load_bundle(args.bundle)
     touched = 0
     for ds in bundle["datasets"]:
@@ -358,7 +330,11 @@ def _update_cells(args, update) -> int:
                         or (args.feature and feat["name"] != args.feature)
                         or (args.seed is not None and rec["seed"] != args.seed)):
                     continue
-                touched += update(ds["name"], feat["name"], rec)
+                try:
+                    touched += update(ds["name"], feat["name"], rec)
+                except ValueError as exc:  # a --k or --components out of range
+                    raise ConfigError(f"{ds['name']}/{feat['name']}/seed"
+                                      f"{rec['seed']}: {exc}") from None
     if touched == 0:
         log.error("no matching cells in bundle")
         return 1

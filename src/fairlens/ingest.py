@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,9 @@ class DatasetSpec:
         if not is_path_component(self.name):
             raise IngestError(f"dataset name {self.name!r} cannot be a "
                               f"directory name")
+        if not isinstance(self.source_path, str):
+            raise IngestError(f"dataset {self.name!r}: source_path must be a "
+                              f"string, got {self.source_path!r}")
         by_name = {c.name: c for c in self.columns}
         if len(by_name) != len(self.columns):
             raise IngestError(f"dataset {self.name!r}: duplicate column names")
@@ -94,6 +98,9 @@ class DatasetSpec:
             raise IngestError(f"column {self.label_column!r} must have role 'label'")
         if not self.protected_features:
             raise IngestError(f"dataset {self.name!r}: no protected features declared")
+        if len(set(self.protected_features)) != len(self.protected_features):
+            raise IngestError(f"dataset {self.name!r}: repeated protected "
+                              f"feature names")
         for p in self.protected_features:
             if not is_path_component(p):
                 raise IngestError(f"protected feature name {p!r} cannot be a "
@@ -150,68 +157,89 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
     return spec
 
 
-@dataclass
-class RawTable:
-    """Parsed CSV contents: string cells per declared column."""
+def read_columns(path: str | Path, names: list[str],
+                 error: type[Exception]) -> list[list[str]]:
+    """The cells of the named columns of a CSV file, one list per name.
 
-    columns: dict[str, list[str]]
-    n_rows: int
-    missing: dict[str, list[int]]  # column -> row indices with empty cells
-
-    def row_has_missing(self, used: list[str]) -> np.ndarray:
-        flags = np.zeros(self.n_rows, dtype=bool)
-        for name in used:
-            for i in self.missing.get(name, ()):
-                flags[i] = True
-        return flags
-
-
-def load_dataset(spec: DatasetSpec) -> RawTable:
-    """Parse the spec's CSV (RFC 4180, UTF-8, header row required)."""
-    path = (Path(spec.base_dir) / spec.source_path).resolve()
-    if not path.exists():
-        raise IngestError(f"dataset file not found: {path}")
-    declared = [c.name for c in spec.columns]
+    The package's one CSV reader, for dataset and prediction files alike:
+    RFC 4180, UTF-8, header row required. Blank lines are skipped and not
+    counted, so cell i of every column is on row i + 2, counting the header
+    as row 1. Cells missing from a short row are empty, and a repeated
+    header name reads its last column. Equal cells share one str object,
+    so a kept cell costs one list pointer. Raises error, naming path, for
+    an empty file, a name absent from the header or bytes that are not
+    UTF-8.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, header row required") from None
-        for name in declared:
-            if name not in header:
-                raise IngestError(f"{path}: declared column {name!r} absent from header")
-        idx = {name: header.index(name) for name in declared}
-        columns: dict[str, list[str]] = {name: [] for name in declared}
-        missing: dict[str, list[int]] = {name: [] for name in declared}
-        n = 0
-        for row in reader:
-            for name in declared:
-                cell = row[idx[name]].strip() if idx[name] < len(row) else ""
-                if cell == "":
-                    missing[name].append(n)
-                columns[name].append(cell)
-            n += 1
-    table = RawTable(columns=columns, n_rows=n, missing=missing)
-    _check_numeric_cells(table, spec, path)
-    return table
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: empty file, header row required")
+            for name in names:
+                if name not in header:
+                    raise error(f"{path}: declared column {name!r} absent "
+                                f"from header")
+            where = {name: i for i, name in enumerate(header)}
+            picks = [where[name] for name in names]
+            width = max(picks) + 1
+            columns: list[list[str]] = [[] for _ in names]
+            intern = {}.setdefault
+            # a few thousand rows at a time, so each column is taken out by
+            # C-level list and map calls rather than a Python loop per row
+            for chunk in iter(lambda: list(islice(reader, 4096)), []):
+                rows = [row if len(row) >= width
+                        else row + [""] * (width - len(row))
+                        for row in chunk if row]
+                for column, i in zip(columns, picks):
+                    cells = [row[i] for row in rows]
+                    column.extend(map(intern, cells, cells))
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    return columns
 
 
-def _check_numeric_cells(table: RawTable, spec: DatasetSpec, path: Path) -> None:
-    for col in spec.columns:
-        if col.kind != "numeric" or col.role == "ignore":
-            continue
-        gaps = set(table.missing.get(col.name, ()))
-        for i, cell in enumerate(table.columns[col.name]):
-            if i in gaps:
-                continue
-            try:
-                float(cell)
-            except ValueError:
+@dataclass
+class RawTable:
+    """Parsed CSV contents: stripped string cells per declared column."""
+
+    columns: dict[str, list[str]]
+    n_rows: int
+    missing: dict[str, np.ndarray]  # column -> per-row mask of empty cells
+
+
+def load_dataset(spec: DatasetSpec) -> RawTable:
+    """Read the spec's declared columns with read_columns.
+
+    Each distinct cell is stripped, and in a numeric feature or label
+    column parsed, once.
+    """
+    path = (Path(spec.base_dir) / spec.source_path).resolve()
+    if not path.exists():
+        raise IngestError(f"dataset file not found: {path}")
+    raw = read_columns(path, [c.name for c in spec.columns], IngestError)
+    n = len(raw[0])
+    columns: dict[str, list[str]] = {}
+    missing: dict[str, np.ndarray] = {}
+    for col, cells in zip(spec.columns, raw):
+        stripped = {cell: cell.strip() for cell in set(cells)}
+        cells = list(map(stripped.__getitem__, cells))
+        if col.kind == "numeric" and col.role != "ignore":
+            bad = set()
+            for value in set(stripped.values()) - {""}:
+                try:
+                    float(value)
+                except ValueError:
+                    bad.add(value)
+            if bad:
+                i = next(i for i, cell in enumerate(cells) if cell in bad)
                 raise IngestError(
                     f"{path}: non-parsable numeric cell at row {i + 2}, "
-                    f"column {col.name!r}: {cell!r}"
-                ) from None
+                    f"column {col.name!r}: {cells[i]!r}")
+        columns[col.name] = cells
+        missing[col.name] = np.fromiter(map("".__eq__, cells), dtype=bool,
+                                        count=n)
+    return RawTable(columns=columns, n_rows=n, missing=missing)
 
 
 def complete_rows(table: RawTable, spec: DatasetSpec) -> tuple[np.ndarray, int]:
@@ -220,56 +248,35 @@ def complete_rows(table: RawTable, spec: DatasetSpec) -> tuple[np.ndarray, int]:
     Encoding and group extraction both use this filter, so their rows always
     line up.
     """
-    used = [c.name for c in spec.columns if c.role in ("feature", "label")]
-    bad = table.row_has_missing(used)
+    bad = np.zeros(table.n_rows, dtype=bool)
+    for c in spec.columns:
+        if c.role in ("feature", "label"):
+            bad |= table.missing[c.name]
     kept = np.flatnonzero(~bad)
     return kept, int(bad.sum())
 
 
 @dataclass
 class EncodedDataset:
-    """Numeric design matrix plus everything needed to re-normalize per fold."""
+    """Numeric design matrix plus what fold_normalized needs to z-score it."""
 
-    design: np.ndarray            # N x F, z-scored on the full dataset
     raw_design: np.ndarray        # N x F, before z-scoring scaled columns
     labels: np.ndarray            # N, int8 in {0,1}
     column_names: list[str]
     scaled_columns: np.ndarray    # indices of columns that get z-scored
-    normalization_params: dict[str, tuple[float, float]]  # column -> (mean, std)
-    kept_rows: np.ndarray         # original row indices retained
     dropped_rows: int
     notes: list[str]
-
-
-def _zscore(design: np.ndarray, scaled: np.ndarray, fit_rows: np.ndarray,
-            names: list[str], notes: list[str] | None = None):
-    out = design.copy()
-    params: dict[str, tuple[float, float]] = {}
-    for j in scaled:
-        col = design[fit_rows, j]
-        mean = float(col.mean())
-        std = float(col.std())  # population std
-        if std == 0.0:
-            out[:, j] = 0.0
-            params[names[j]] = (mean, 0.0)
-            if notes is not None:
-                notes.append(f"column {names[j]!r} has zero variance; encoded as 0")
-            continue
-        out[:, j] = (design[:, j] - mean) / std
-        params[names[j]] = (mean, std)
-    return out, params
 
 
 def encode_features(table: RawTable, spec: DatasetSpec) -> EncodedDataset:
     """Encode the table to a design matrix and {0,1} label vector.
 
-    z-scores here are fit on the full (complete-row) dataset; use
-    fold_normalized() to refit them on a fold's training rows.
+    Scaled columns stay raw here; fold_normalized() z-scores them on a
+    fold's training rows.
     """
     kept, dropped = complete_rows(table, spec)
     if kept.size == 0 and table.n_rows > 0:
         raise IngestError("every row has missing cells; nothing to encode")
-    notes: list[str] = []
     blocks: list[np.ndarray] = []
     names: list[str] = []
     scaled: list[int] = []
@@ -330,25 +337,27 @@ def encode_features(table: RawTable, spec: DatasetSpec) -> EncodedDataset:
     labels = np.array([1 if c == spec.positive_value else 0 for c in label_cells],
                       dtype=np.int8)
 
-    fit_rows = np.arange(kept.size)
-    design, params = _zscore(raw_design, scaled_idx, fit_rows, names, notes)
+    notes = [f"column {names[j]!r} has zero variance; encoded as 0"
+             for j in scaled if raw_design[:, j].std() == 0.0]
     return EncodedDataset(
-        design=design,
         raw_design=raw_design,
         labels=labels,
         column_names=names,
         scaled_columns=scaled_idx,
-        normalization_params=params,
-        kept_rows=kept,
         dropped_rows=dropped,
         notes=notes,
     )
 
 
 def fold_normalized(enc: EncodedDataset, train_rows: np.ndarray) -> np.ndarray:
-    """Design matrix re-z-scored with means/stds fit on train_rows only."""
-    design, _ = _zscore(enc.raw_design, enc.scaled_columns,
-                        np.asarray(train_rows), enc.column_names)
+    """Design matrix z-scored with means and population stds fit on
+    train_rows only; a column constant on them encodes as 0."""
+    design = enc.raw_design.copy()
+    for j in enc.scaled_columns:
+        col = enc.raw_design[train_rows, j]
+        mean = float(col.mean())
+        std = float(col.std())
+        design[:, j] = (design[:, j] - mean) / std if std != 0.0 else 0.0
     return design
 
 

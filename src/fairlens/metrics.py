@@ -35,12 +35,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp,
-            self.tn + other.tn, self.fn + other.fn,
-        )
-
 
 @dataclass(frozen=True)
 class ThresholdChoice:

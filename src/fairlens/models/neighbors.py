@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-VALID_METRICS = ("minkowski", "euclidean", "manhattan")
+from .base import KNN_METRICS
 
 # distinct query rows per block; the gathered block x rows x features
 # array then stays small enough for the cache even with no repeated rows
@@ -66,8 +66,8 @@ class Knn:
     def __init__(self, n_neighbors: int, metric: str = "euclidean"):
         if n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
-        if metric not in VALID_METRICS:
-            raise ValueError(f"metric must be one of {VALID_METRICS}")
+        if metric not in KNN_METRICS:
+            raise ValueError(f"metric must be one of {KNN_METRICS}")
         self.n_neighbors = n_neighbors
         self.metric = metric
         self._n_features: int | None = None

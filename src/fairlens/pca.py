@@ -20,7 +20,6 @@ class PcaModel:
     eigenvectors: np.ndarray              # K x J, orthonormal rows
     column_means: np.ndarray              # J
     explained_variance_ratios: np.ndarray  # K, descending, sums <= 1
-    fitted_on: str = ""
 
     @property
     def k(self) -> int:
@@ -41,7 +40,7 @@ def component_cap(n_groups: int) -> int:
     return max(1, min(n_groups - 1, 3))
 
 
-def fit_pca(matrix: np.ndarray, k: int, fitted_on: str = "") -> PcaModel:
+def fit_pca(matrix: np.ndarray, k: int) -> PcaModel:
     """Column-mean-centered SVD; top-k right singular rows as eigenvectors.
 
     Ratios are squared singular values over their total, so they measure
@@ -67,7 +66,7 @@ def fit_pca(matrix: np.ndarray, k: int, fitted_on: str = "") -> PcaModel:
             row *= -1.0
     ratios = (s[:k] ** 2) / total
     return PcaModel(eigenvectors=vectors, column_means=means,
-                    explained_variance_ratios=ratios, fitted_on=fitted_on)
+                    explained_variance_ratios=ratios)
 
 
 def project(matrix: np.ndarray, pca: PcaModel) -> np.ndarray:
@@ -103,8 +102,8 @@ def align_to_reference(
                              reference=reference, ratios=np.asarray(ratios))
 
 
-def full_matrix_pca(matrix: np.ndarray, fitted_on: str = "") -> PcaModel:
+def full_matrix_pca(matrix: np.ndarray) -> PcaModel:
     """PCA of the whole I x J stack, full rank, for variance reporting."""
     matrix = np.asarray(matrix, dtype=np.float64)
     k = min(matrix.shape[0] - 1, matrix.shape[1])
-    return fit_pca(matrix, k, fitted_on=fitted_on)
+    return fit_pca(matrix, k)

@@ -123,9 +123,7 @@ def pca_record(matrix, ref_kind: str, kinds, group_labels: tuple[str, ...],
     """PCA fit on ref_kind's rows; kinds projected and shifted so the
     reference group sits at the origin. Raises ValueError for a matrix
     whose rows do not vary."""
-    p = matrix.provenance
-    model = fit_pca(per_model_matrix(matrix, ref_kind).values, k,
-                    fitted_on=f"{p.dataset}/{p.feature}/seed{p.seed}/{ref_kind}")
+    model = fit_pca(per_model_matrix(matrix, ref_kind).values, k)
     projections = {kind: project(per_model_matrix(matrix, kind).values, model)
                    for kind in kinds}
     aligned = align_to_reference(projections, group_labels, reference,
@@ -306,7 +304,8 @@ def reproject(rec: dict, dataset: str, feature: str,
     model, rec["pca"] = pca_record(
         matrix_from_record(dataset, feature, rec), pca["reference_model"],
         sorted(pca["coords"], key=kind_sort_key), group_labels,
-        pca["reference_group"], min(components, cap) if components else cap)
+        pca["reference_group"],
+        cap if components is None else min(components, cap))
     return model
 
 

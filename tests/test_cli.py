@@ -222,6 +222,23 @@ def test_pca_default_components_keeps_bundle_bytes(tiny_run, tmp_path):
         assert work.read_bytes() == bundle.read_bytes(), bundle
 
 
+@pytest.mark.parametrize("argv", [["cluster", "--k", "0"],
+                                  ["cluster", "--k", "14"],
+                                  ["pca", "--components", "-1"],
+                                  ["pca", "--components", "0"]])
+def test_out_of_range_count_exits_2_and_keeps_bundle(tiny_run, tmp_path,
+                                                     capsys, argv):
+    code, out = tiny_run
+    work = tmp_path / "b.json"
+    work.write_bytes((out / "bundle.json").read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bundle", str(work)])
+    assert exc.value.code == 2
+    assert "error: tiny/" in capsys.readouterr().err
+    assert work.read_bytes() == (out / "bundle.json").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [work]
+
+
 def test_failed_writes_keep_old_files_and_leave_no_temp(tiny_run, tmp_path,
                                                         monkeypatch):
     code, out = tiny_run
@@ -252,6 +269,19 @@ def test_missing_dataset_writes_failure_manifest(tmp_path):
     manifest = json.loads((out / "failures.json").read_text())
     assert manifest["failures"][0]["stage"] == "ingest"
     assert not (out / "bundle.json").exists()
+
+
+def test_non_string_source_path_writes_failure_manifest(tmp_path):
+    spec = write_spec(tmp_path, "t.csv", name="five")
+    raw = json.loads(spec.read_text())
+    spec.write_text(json.dumps(dict(raw, source_path=5)))
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "ingest"
+    assert "source_path must be a string" in failure["error"]
 
 
 def test_bad_flags_exit_two(tmp_path):
@@ -388,6 +418,18 @@ def test_audit_rejects_duplicate_or_bad_model_names(tmp_path):
         audit_external_predictions([("m", str(path)), ("m", str(path))], ["grp"])
     with pytest.raises(PredictionFileError, match="bad model name"):
         audit_external_predictions([("m:x", str(path))], ["grp"])
+
+
+def test_audit_rejects_repeated_feature_names(tmp_path):
+    path = tmp_path / "m.csv"
+    write_predictions(path, exact_rate_rows())
+    with pytest.raises(PredictionFileError, match="repeated feature names"):
+        audit_external_predictions([("m", str(path))], ["grp", "grp"])
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--predictions", f"m={path}", "--features", "grp,grp",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_names_cannot_escape_out(tmp_path):
@@ -578,6 +620,24 @@ def test_entry_point_bundle_does_not_depend_on_blas_threads(tmp_path):
     digests = [run_module(argv, tmp_path / f"out{threads}", threads)
                for threads in ("1", "2")]
     assert digests[0] == digests[1]
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py patches fairlens functions by the names their callers
+    # use; a rename makes install raise LookupError, which should fail here
+    # rather than only in a traced benchmark run
+    import fairlens
+
+    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root,
+                                                       str(bench)]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; print(tracing.install(tracing.Tracer()))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0
 
 
 # sha256 of bundle.json for the fixed run below. A change that alters the

@@ -205,7 +205,8 @@ def old_aggregate_over_folds(fold_counts, fold_scores, fold_labels, n_total):
     for c in fold_counts:
         if c is None:
             continue
-        total = c if total is None else total + c
+        total = c if total is None else ConfusionCounts(
+            total.tp + c.tp, total.fp + c.fp, total.tn + c.tn, total.fn + c.fn)
     if total is None or total.total == 0:
         return empty_metric_vector()
     nonempty = [s for s in fold_scores if len(s) > 0]

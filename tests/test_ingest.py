@@ -65,14 +65,15 @@ def toy_table(tmp_path, csv_text=TOY_CSV):
 def test_numeric_zscore_population_std(tmp_path):
     table, spec = toy_table(tmp_path)
     enc = encode_features(table, spec)
-    age = enc.design[:, enc.column_names.index("age")]
+    design = fold_normalized(enc, np.arange(3))
+    age = design[:, enc.column_names.index("age")]
     assert np.allclose(age, [-Z3, 0.0, Z3], atol=1e-12)
 
 
 def test_ordinal_ranks_then_zscore(tmp_path):
     table, spec = toy_table(tmp_path)
     enc = encode_features(table, spec)
-    grade = enc.design[:, enc.column_names.index("grade")]
+    grade = fold_normalized(enc, np.arange(3))[:, enc.column_names.index("grade")]
     # ranks 0,1,2 z-score identically to ages 1,2,3
     assert np.allclose(grade, [-Z3, 0.0, Z3], atol=1e-12)
 
@@ -90,9 +91,9 @@ def test_onehot_block_sorted_categories(tmp_path):
     enc = encode_features(table, spec)
     ja = enc.column_names.index("race=A")
     jb = enc.column_names.index("race=B")
-    assert enc.design[:, ja].tolist() == [1.0, 0.0, 1.0]
-    assert enc.design[:, jb].tolist() == [0.0, 1.0, 0.0]
-    block = enc.design[:, [ja, jb]]
+    assert enc.raw_design[:, ja].tolist() == [1.0, 0.0, 1.0]
+    assert enc.raw_design[:, jb].tolist() == [0.0, 1.0, 0.0]
+    block = enc.raw_design[:, [ja, jb]]
     assert np.array_equal(block.sum(axis=1), np.ones(3))
 
 
@@ -128,7 +129,7 @@ def test_missing_rows_dropped_and_counted(tmp_path):
     assert kept.tolist() == [0, 2, 4]
     assert dropped == 2
     enc = encode_features(table, spec)
-    assert enc.design.shape[0] == 3
+    assert enc.raw_design.shape[0] == 3
     assert enc.dropped_rows == 2
     groups = extract_groups(table, spec)
     assert groups["sex"].assignments.shape == (3,)
@@ -153,6 +154,74 @@ def test_unparsable_numeric_is_an_error(tmp_path):
     write_csv(src, csv_text)
     spec = make_spec(source_path=str(src))
     with pytest.raises(IngestError, match="non-parsable numeric"):
+        load_dataset(spec)
+
+
+def test_numeric_error_names_first_bad_row_after_stripping(tmp_path):
+    # each distinct cell is parsed once; the error still names the first
+    # row holding a bad one, and blank lines are not counted
+    csv_text = ("age,sex,race,grade,y,extra\n"
+                "1,M,A,low,1,z\n"
+                "\n"
+                " 2 ,F,B,mid,0,z\n"
+                "x ,M,A,high,1,z\n"
+                " x,F,B,mid,0,z\n")
+    src = tmp_path / "toy.csv"
+    write_csv(src, csv_text)
+    spec = make_spec(source_path=str(src))
+    with pytest.raises(IngestError) as exc:
+        load_dataset(spec)
+    assert str(exc.value) == (f"{src.resolve()}: non-parsable numeric cell "
+                              f"at row 4, column 'age': 'x'")
+
+
+def test_blank_lines_are_skipped_not_dropped(tmp_path):
+    # a blank line is not a row: it is neither kept nor counted as dropped
+    csv_text = TOY_CSV.replace("\n2,", "\n\n2,") + "\n"
+    table, spec = toy_table(tmp_path, csv_text)
+    assert table.n_rows == 3
+    enc = encode_features(table, spec)
+    assert enc.dropped_rows == 0
+    assert enc.labels.tolist() == [1, 0, 1]
+
+
+def test_short_rows_read_as_missing_cells(tmp_path):
+    csv_text = ("age,sex,race,grade,y,extra\n"
+                "1,M,A,low,1,z\n"
+                "2,F,B,mid,0\n"     # only the ignored extra cell is absent
+                "3,M,A\n"           # grade and y absent: row dropped
+                "4,F,B,high,1,z\n")
+    src = tmp_path / "toy.csv"
+    write_csv(src, csv_text)
+    spec = make_spec(
+        source_path=str(src),
+        columns=make_spec().columns + (ColumnSpec("extra", "categorical",
+                                                  role="ignore"),))
+    table = load_dataset(spec)
+    assert table.columns["grade"] == ["low", "mid", "", "high"]
+    assert table.missing["extra"].tolist() == [False, True, True, False]
+    kept, dropped = complete_rows(table, spec)
+    assert kept.tolist() == [0, 1, 3] and dropped == 1
+
+
+def test_repeated_header_reads_last_column(tmp_path):
+    csv_text = ("age,sex,race,grade,y,age\n"
+                "junk,M,A,low,1,1\n"
+                "junk,F,B,mid,0,2\n"
+                ",M,A,high,1,3\n")
+    table, spec = toy_table(tmp_path, csv_text)
+    assert table.columns["age"] == ["1", "2", "3"]
+    enc = encode_features(table, spec)
+    assert enc.dropped_rows == 0
+    age = enc.raw_design[:, enc.column_names.index("age")]
+    assert age.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_non_utf8_dataset_is_an_ingest_error(tmp_path):
+    src = tmp_path / "toy.csv"
+    src.write_bytes(TOY_CSV.encode().replace(b"2,F,B", b"2,F,\xff"))
+    spec = make_spec(source_path=str(src))
+    with pytest.raises(IngestError, match="not valid UTF-8"):
         load_dataset(spec)
 
 
@@ -222,7 +291,7 @@ def test_zero_variance_column_encodes_to_zero(tmp_path):
     table, spec = toy_table(tmp_path, csv_text)
     enc = encode_features(table, spec)
     j = enc.column_names.index("age")
-    assert np.array_equal(enc.design[:, j], np.zeros(3))
+    assert np.array_equal(fold_normalized(enc, np.arange(3))[:, j], np.zeros(3))
     assert any("zero variance" in n for n in enc.notes)
 
 
@@ -248,7 +317,7 @@ def test_spec_json_roundtrip(tmp_path):
     spec = load_dataset_spec(p)
     table = load_dataset(spec)
     enc = encode_features(table, spec)
-    assert enc.design.shape == (3, 5)  # age, sex, race=A, race=B, grade
+    assert enc.raw_design.shape == (3, 5)  # age, sex, race=A, race=B, grade
 
 
 def test_spec_validation_errors():
@@ -258,6 +327,10 @@ def test_spec_validation_errors():
         make_spec(protected_features=("age",))
     with pytest.raises(IngestError, match="positive_meaning"):
         make_spec(positive_meaning="good")
+    with pytest.raises(IngestError, match="repeated protected feature"):
+        make_spec(protected_features=("race", "sex", "race"))
+    with pytest.raises(IngestError, match="source_path must be a string"):
+        make_spec(source_path=5)
     # names become output directories, so none may leave --out
     for bad in ("", ".", "..", "../x", "a/b", "a\\b"):
         with pytest.raises(IngestError, match="directory name"):
@@ -266,3 +339,17 @@ def test_spec_validation_errors():
             make_spec(columns=(ColumnSpec(bad, "categorical"),
                                ColumnSpec("y", "binary", role="label")),
                       protected_features=(bad,))
+
+
+def test_spec_with_non_string_source_path_is_an_ingest_error(tmp_path):
+    spec_json = {
+        "name": "toy", "source_path": 5,
+        "columns": [{"name": "race", "kind": "categorical"},
+                    {"name": "y", "kind": "binary", "role": "label"}],
+        "label_column": "y", "positive_value": "1",
+        "positive_meaning": "punitive", "protected_features": ["race"],
+    }
+    p = tmp_path / "toy.dataset.json"
+    p.write_text(json.dumps(spec_json), encoding="utf-8")
+    with pytest.raises(IngestError, match="source_path must be a string"):
+        load_dataset_spec(p)
