@@ -25,9 +25,11 @@ import os
 from pathlib import Path
 
 import numpy as np
+from jsonschema import ValidationError, validate
 
 from . import MODEL_KINDS
-from .ingest import IngestError, is_path_component, read_columns
+from .ingest import (IngestError, code_column, decode_values,
+                     is_path_component, read_columns)
 from .pipeline import (ConfigError, PredictionFileError, RunConfig,
                        audit_predictions, recluster, reproject, run_pipeline)
 from .report import (BundleError, export_bundle, load_bundle, render_all,
@@ -40,6 +42,15 @@ PAPER_SCALE = {"seeds": 10, "folds": 10, "draws": 30}
 DEFAULT_VALIDATION_FRACTION = 0.10
 
 
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+RUN_CONFIG_SCHEMA = {"type": "object", "properties": {
+    "datasets": _STRINGS, "models": _STRINGS, "plot_models": _STRINGS,
+    "seeds": {"type": ["integer", "array"], "items": {"type": "integer"}},
+    "folds": {"type": "integer"}, "draws": {"type": "integer"},
+    "validation_fraction": {"type": "number"}, "out": {"type": "string"},
+}}
+
+
 def load_run_config(path: str | Path) -> dict:
     """Read the structured run config (JSON; grammar documented in README)."""
     try:
@@ -49,11 +60,12 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    known = {"datasets", "seeds", "folds", "draws", "models",
-             "validation_fraction", "plot_models", "out"}
-    unknown = set(raw) - known
+    try:
+        validate(raw, RUN_CONFIG_SCHEMA)
+    except ValidationError as exc:
+        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
+        raise ConfigError(f"config {path}: {where}: {exc.message}") from None
+    unknown = set(raw) - set(RUN_CONFIG_SCHEMA["properties"])
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
     base = Path(path).parent
@@ -81,14 +93,10 @@ def _resolve_seeds(value) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # audit-only mode: prediction files
 
-class _BadCell(ValueError):
-    """A cell that fails its column's check; the message names no row."""
-
-
 def _decode_label(cell: str) -> int:
     cell = cell.strip()
     if cell not in ("0", "1"):
-        raise _BadCell(f"y_true must be 0 or 1, got {cell!r}")
+        raise ValueError(f"y_true must be 0 or 1, got {cell!r}")
     return int(cell)
 
 
@@ -96,9 +104,9 @@ def _decode_score(cell: str) -> float:
     try:
         s = float(cell)
     except ValueError:
-        raise _BadCell("non-numeric score") from None
+        raise ValueError("non-numeric score") from None
     if not 0.0 <= s <= 1.0:
-        raise _BadCell(f"score out of range: {s}")
+        raise ValueError(f"score out of range: {s}")
     return s
 
 
@@ -106,7 +114,7 @@ def _group_decoder(feature: str):
     def decode(cell: str) -> str:
         cell = cell.strip()
         if not cell:
-            raise _BadCell(f"empty group in {feature!r}")
+            raise ValueError(f"empty group in {feature!r}")
         return cell
     return decode
 
@@ -115,7 +123,7 @@ def _flag_decoder(column: str):
     def decode(cell: str) -> bool:
         cell = cell.strip()
         if cell not in ("0", "1"):
-            raise _BadCell(f"{column} must be 0 or 1")
+            raise ValueError(f"{column} must be 0 or 1")
         return cell == "1"
     return decode
 
@@ -124,11 +132,11 @@ def _read_prediction_file(path: str, features: list[str],
                           validation_column: str | None):
     """Read one prediction file: y_true, scores, group codes, validation flags.
 
-    The file is read by ingest.read_columns, and each distinct cell is
-    checked and converted once. An error names the first bad row (the
-    header is row 1; blank lines are not counted) and, within it, the first
-    failing column in the order y_true, y_score, features, validation
-    column.
+    The file is read by ingest.read_columns and each column is coded by
+    ingest.code_column, so each distinct cell is checked and converted
+    once. An error names the first bad row (the header is row 1; blank
+    lines are not counted) and, within it, the first failing column in the
+    order y_true, y_score, features, validation column.
 
     Each feature maps to (labels, codes): its sorted distinct labels and,
     per row, the index of the row's label in them.
@@ -140,36 +148,29 @@ def _read_prediction_file(path: str, features: list[str],
         needed.append(validation_column)
         decoders.append(_flag_decoder(validation_column))
     columns = read_columns(path, needed, PredictionFileError)
-    n_rows = len(columns[0])
-    if not n_rows:
+    if not columns[0]:
         raise PredictionFileError(f"{path}: no data rows")
 
-    tables, errors = [], []
+    coded, errors = [], []
     for k, (cells, decode) in enumerate(zip(columns, decoders)):
-        table, bad = {}, {}
-        for cell in set(cells):
-            try:
-                table[cell] = decode(cell)
-            except _BadCell as exc:
-                bad[cell] = str(exc)
+        values, codes = code_column(cells)
+        decoded, bad = decode_values(values, codes, decode)
         if bad:
-            i = next(i for i, cell in enumerate(cells) if cell in bad)
-            errors.append((i, k, bad[cells[i]]))
-        tables.append(table)
+            errors.append((bad[0], k, bad[1]))
+        coded.append((decoded, codes))
     if errors:
         i, _, message = min(errors)
         raise PredictionFileError(f"{path}: row {i + 2}: {message}")
 
     def column_array(k, dtype):
-        return np.fromiter(map(tables[k].__getitem__, columns[k]),
-                           dtype=dtype, count=n_rows)
+        decoded, codes = coded[k]
+        return np.array(decoded, dtype=dtype)[codes]
 
     groups = {}
-    for k, feature in enumerate(features, start=2):
-        labels = tuple(sorted(set(tables[k].values())))
-        code = {label: c for c, label in enumerate(labels)}
-        tables[k] = {cell: code[label] for cell, label in tables[k].items()}
-        groups[feature] = (labels, column_array(k, np.int64))
+    for feature, (decoded, codes) in zip(features, coded[2:]):
+        # two raw cells may strip to one label, so code the labels again
+        labels, label_codes = code_column(decoded)
+        groups[feature] = (labels, label_codes[codes])
     val = column_array(len(needed) - 1, bool) if validation_column else None
     return column_array(0, np.int64), column_array(1, np.float64), groups, val
 
@@ -284,13 +285,12 @@ def _cmd_run(args) -> int:
         dataset_specs=tuple(specs), seeds=seeds, n_folds=int(folds),
         validation_fraction=float(vf), model_kinds=tuple(models),
         search_draws=int(draws),
-        out_dir=str(_default_out(args, raw.get("out"))),
         plot_models=tuple(plot) if plot else None, jobs=args.jobs,
     )
     bundle, failures = run_pipeline(config)
     if bundle is None:
         log.error("no cell completed; nothing to export")
-    return write_outputs(bundle, failures, config.out_dir)
+    return write_outputs(bundle, failures, _default_out(args, raw.get("out")))
 
 
 def _cmd_audit(args) -> int:

@@ -114,12 +114,6 @@ class DatasetSpec:
             if p not in self.protected_features:
                 raise IngestError(f"explicit reference group for unknown feature {p!r}")
 
-    def column(self, name: str) -> ColumnSpec:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise IngestError(f"no column named {name!r}")
-
 
 def load_dataset_spec(path: str | Path) -> DatasetSpec:
     """Read a dataset spec JSON file; source_path is read relative to it.
@@ -154,6 +148,9 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
         )
     except KeyError as exc:
         raise IngestError(f"dataset spec {path}: missing field {exc}") from exc
+    except TypeError as exc:  # say, a spec or column that is not an object
+        raise IngestError(f"dataset spec {path}: a field has the wrong JSON "
+                          f"type ({exc})") from exc
     return spec
 
 
@@ -199,6 +196,46 @@ def read_columns(path: str | Path, names: list[str],
     return columns
 
 
+def code_column(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """A column's sorted distinct cells, and each row's int64 index into
+    them, mapped through a dict by C-level calls, not a loop per row."""
+    values = sorted(set(cells))
+    index = {value: k for k, value in enumerate(values)}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int64,
+                        count=len(cells))
+    return values, codes
+
+
+def decode_values(values: list[str], codes: np.ndarray,
+                  decode) -> tuple[list, tuple[int, str] | None]:
+    """Each value decoded once (None where decode raised ValueError) and,
+    if any failed, (first row whose value failed, its message); every
+    value must occur in codes."""
+    decoded, messages = [], {}
+    for k, value in enumerate(values):
+        try:
+            decoded.append(decode(value))
+        except ValueError as exc:
+            decoded.append(None)
+            messages[k] = str(exc)
+    if not messages:
+        return decoded, None
+    i = int(np.isin(codes, list(messages)).argmax())
+    return decoded, (i, messages[int(codes[i])])
+
+
+def rank_groups(values: list[str], codes: np.ndarray
+                ) -> tuple[tuple[str, ...], np.ndarray, tuple[int, ...]]:
+    """The groups present in codes, largest first and ties by label (the
+    rule of run and audit alike), each row's index into them, and sizes."""
+    present, inverse, sizes = np.unique(codes, return_inverse=True,
+                                        return_counts=True)
+    # values are sorted, so a stable sort keeps equal sizes in label order
+    rank = np.argsort(-sizes, kind="stable")
+    labels = tuple(values[present[r]] for r in rank)
+    return labels, np.argsort(rank)[inverse], tuple(sizes[rank].tolist())
+
+
 @dataclass
 class RawTable:
     """Parsed CSV contents: stripped string cells per declared column."""
@@ -218,28 +255,21 @@ def load_dataset(spec: DatasetSpec) -> RawTable:
     if not path.exists():
         raise IngestError(f"dataset file not found: {path}")
     raw = read_columns(path, [c.name for c in spec.columns], IngestError)
-    n = len(raw[0])
     columns: dict[str, list[str]] = {}
     missing: dict[str, np.ndarray] = {}
     for col, cells in zip(spec.columns, raw):
-        stripped = {cell: cell.strip() for cell in set(cells)}
-        cells = list(map(stripped.__getitem__, cells))
+        values, codes = code_column(cells)
+        values = [value.strip() for value in values]
         if col.kind == "numeric" and col.role != "ignore":
-            bad = set()
-            for value in set(stripped.values()) - {""}:
-                try:
-                    float(value)
-                except ValueError:
-                    bad.add(value)
+            # an empty cell is missing, not malformed; its row is dropped
+            _, bad = decode_values(values, codes, lambda v: float(v or 0))
             if bad:
-                i = next(i for i, cell in enumerate(cells) if cell in bad)
                 raise IngestError(
-                    f"{path}: non-parsable numeric cell at row {i + 2}, "
-                    f"column {col.name!r}: {cells[i]!r}")
-        columns[col.name] = cells
-        missing[col.name] = np.fromiter(map("".__eq__, cells), dtype=bool,
-                                        count=n)
-    return RawTable(columns=columns, n_rows=n, missing=missing)
+                    f"{path}: non-parsable numeric cell at row {bad[0] + 2}, "
+                    f"column {col.name!r}: {values[codes[bad[0]]]!r}")
+        columns[col.name] = list(map(values.__getitem__, codes.tolist()))
+        missing[col.name] = np.array([not v for v in values], dtype=bool)[codes]
+    return RawTable(columns=columns, n_rows=len(raw[0]), missing=missing)
 
 
 def complete_rows(table: RawTable, spec: DatasetSpec) -> tuple[np.ndarray, int]:
@@ -268,9 +298,18 @@ class EncodedDataset:
     notes: list[str]
 
 
+def _kept_column(table: RawTable, name: str,
+                 kept: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """code_column over the kept rows only."""
+    values, codes = code_column(table.columns[name])
+    present, codes = np.unique(codes[kept], return_inverse=True)
+    return [values[k] for k in present], codes
+
+
 def encode_features(table: RawTable, spec: DatasetSpec) -> EncodedDataset:
     """Encode the table to a design matrix and {0,1} label vector.
 
+    Blocks are built from column codes, one lookup per distinct cell.
     Scaled columns stay raw here; fold_normalized() z-scores them on a
     fold's training rows.
     """
@@ -284,58 +323,47 @@ def encode_features(table: RawTable, spec: DatasetSpec) -> EncodedDataset:
     for col in spec.columns:
         if col.role != "feature":
             continue
-        cells = [table.columns[col.name][i] for i in kept]
-        if col.kind == "numeric":
-            vals = np.array([float(c) for c in cells], dtype=np.float64)
-            scaled.append(len(names))
-            names.append(col.name)
-            blocks.append(vals[:, None])
-        elif col.kind == "ordinal":
-            rank = {lev: r for r, lev in enumerate(col.levels)}
-            try:
-                vals = np.array([rank[c] for c in cells], dtype=np.float64)
-            except KeyError as exc:
+        values, codes = _kept_column(table, col.name, kept)
+        if col.kind in ("numeric", "ordinal"):
+            # load_dataset checked every numeric cell, so only a level fails
+            parse = float if col.kind == "numeric" else col.levels.index
+            scalars, bad = decode_values(values, codes, parse)
+            if bad:
                 raise IngestError(
-                    f"ordinal column {col.name!r}: value {exc} not in declared levels"
-                ) from None
+                    f"ordinal column {col.name!r}: value "
+                    f"{values[codes[bad[0]]]!r} not in declared levels")
             scaled.append(len(names))
             names.append(col.name)
-            blocks.append(vals[:, None])
+            blocks.append(np.array(scalars, dtype=np.float64)[codes][:, None])
         elif col.kind == "binary":
-            observed = sorted(set(cells))
-            if len(observed) != 2:
+            if len(values) != 2:
                 raise IngestError(
-                    f"binary column {col.name!r} has {len(observed)} observed values "
-                    f"(need exactly 2): {observed[:5]}"
+                    f"binary column {col.name!r} has {len(values)} observed values "
+                    f"(need exactly 2): {values[:5]}"
                 )
-            vals = np.array([observed.index(c) for c in cells], dtype=np.float64)
             names.append(col.name)
-            blocks.append(vals[:, None])
+            blocks.append(codes.astype(np.float64)[:, None])
         elif col.kind == "categorical":
-            observed = sorted(set(cells))
-            if len(observed) < 2:
+            if len(values) < 2:
                 raise IngestError(
                     f"categorical column {col.name!r} has a single observed value"
                 )
-            pos = {v: k for k, v in enumerate(observed)}
-            hot = np.zeros((len(cells), len(observed)), dtype=np.float64)
-            hot[np.arange(len(cells)), [pos[c] for c in cells]] = 1.0
-            names.extend(f"{col.name}={v}" for v in observed)
+            hot = np.zeros((kept.size, len(values)), dtype=np.float64)
+            hot[np.arange(kept.size), codes] = 1.0
+            names.extend(f"{col.name}={v}" for v in values)
             blocks.append(hot)
 
     raw_design = np.hstack(blocks) if blocks else np.zeros((kept.size, 0))
     scaled_idx = np.array(scaled, dtype=np.int64)
 
-    label_col = spec.column(spec.label_column)
-    label_cells = [table.columns[label_col.name][i] for i in kept]
-    observed_labels = sorted(set(label_cells))
-    if kept.size and spec.positive_value not in observed_labels:
+    values, codes = _kept_column(table, spec.label_column, kept)
+    if kept.size and spec.positive_value not in values:
         raise IngestError(
             f"declared positive value {spec.positive_value!r} never observed in "
-            f"label column {spec.label_column!r} (saw {observed_labels[:5]})"
+            f"label column {spec.label_column!r} (saw {values[:5]})"
         )
-    labels = np.array([1 if c == spec.positive_value else 0 for c in label_cells],
-                      dtype=np.int8)
+    labels = np.array([v == spec.positive_value for v in values],
+                      dtype=np.int8)[codes]
 
     notes = [f"column {names[j]!r} has zero variance; encoded as 0"
              for j in scaled if raw_design[:, j].std() == 0.0]
@@ -371,47 +399,35 @@ class GroupIndex:
     sizes: tuple[int, ...]
     reference: str
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.labels)
-
 
 def extract_groups(table: RawTable, spec: DatasetSpec) -> dict[str, GroupIndex]:
     """Group assignments per protected feature, reference group resolved.
 
-    Default policy picks the largest group, ties broken by the
-    lexicographically smallest label; an explicit reference in the spec
-    overrides it.
+    The default reference is rank_groups' first group, the largest with
+    ties broken by label; an explicit reference in the spec overrides it.
     """
     kept, _ = complete_rows(table, spec)
     out: dict[str, GroupIndex] = {}
     for feature in spec.protected_features:
-        cells = [table.columns[feature][i] for i in kept]
-        counts: dict[str, int] = {}
-        for c in cells:
-            counts[c] = counts.get(c, 0) + 1
-        if len(counts) < 2:
+        values, codes = code_column(table.columns[feature])
+        labels, assignments, sizes = rank_groups(values, codes[kept])
+        if len(labels) < 2:
             raise IngestError(
                 f"protected feature {feature!r} has a single group; "
                 "fairness comparison is degenerate"
             )
-        order = sorted(counts, key=lambda g: (-counts[g], g))
-        index = {g: k for k, g in enumerate(order)}
-        assignments = np.array([index[c] for c in cells], dtype=np.int64)
-        explicit = spec.reference_groups.get(feature)
-        if explicit is not None:
-            if explicit not in counts:
-                raise IngestError(
-                    f"explicit reference group {explicit!r} not observed in {feature!r}"
-                )
-            reference = explicit
-        else:
-            reference = order[0]
+        reference = spec.reference_groups.get(feature)
+        if reference is None:
+            reference = labels[0]
+        elif reference not in labels:
+            raise IngestError(
+                f"explicit reference group {reference!r} not observed in {feature!r}"
+            )
         out[feature] = GroupIndex(
             feature=feature,
-            labels=tuple(order),
+            labels=labels,
             assignments=assignments,
-            sizes=tuple(counts[g] for g in order),
+            sizes=sizes,
             reference=reference,
         )
     return out

@@ -13,10 +13,11 @@ import numpy as np
 
 from .base import TrainingError
 
+VAR_SMOOTHING = 1e-9
+
 
 class GaussianNb:
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = var_smoothing
+    def __init__(self):
         self.means: np.ndarray | None = None  # 2 x F
         self.variances: np.ndarray | None = None
         self.log_priors: np.ndarray | None = None
@@ -25,9 +26,9 @@ class GaussianNb:
         classes = np.unique(y)
         if classes.size < 2:
             raise TrainingError("nb: single-class training set")
-        eps = self.var_smoothing * float(np.var(X, axis=0).max())
+        eps = VAR_SMOOTHING * float(np.var(X, axis=0).max())
         if eps == 0.0:
-            eps = self.var_smoothing
+            eps = VAR_SMOOTHING
         means, variances, priors = [], [], []
         for c in (0, 1):
             rows = X[y == c]

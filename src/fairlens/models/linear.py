@@ -17,6 +17,9 @@ import math
 
 import numpy as np
 
+GRADIENT_TOL = 1e-8
+MAX_ITER = 500
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -44,12 +47,10 @@ def logit_objective(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
 
 
 class Logit:
-    def __init__(self, c: float, tol: float = 1e-8, max_iter: int = 500):
+    def __init__(self, c: float):
         if c <= 0:
             raise ValueError("C must be positive")
         self.c = float(c)
-        self.tol = tol
-        self.max_iter = max_iter
         self.w: np.ndarray | None = None
         self.b = 0.0
         self.n_iter = 0
@@ -59,9 +60,9 @@ class Logit:
         w = np.zeros(f)
         b = 0.0
         loss, gw, gb = logit_objective(w, b, X, y, self.c)
-        for it in range(self.max_iter):
+        for it in range(MAX_ITER):
             gnorm2 = float(gw @ gw) + gb * gb
-            if math.sqrt(gnorm2) <= self.tol:
+            if math.sqrt(gnorm2) <= GRADIENT_TOL:
                 break
             step = 1.0
             while step > 1e-16:

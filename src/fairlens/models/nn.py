@@ -17,10 +17,12 @@ from ..rand import Stream
 from .base import TrainingError
 from .linear import sigmoid
 
+LEARNING_RATE = 0.05
+
 
 class Mlp:
     def __init__(self, hidden1: int, hidden2: int, epochs: int = 100,
-                 batch_size: int = 64, l2: float = 0.01, lr: float = 0.05):
+                 batch_size: int = 64, l2: float = 0.01):
         if hidden1 < 1 or hidden2 < 1:
             raise ValueError("hidden widths must be >= 1")
         self.hidden1 = hidden1
@@ -28,7 +30,6 @@ class Mlp:
         self.epochs = epochs
         self.batch_size = batch_size
         self.l2 = l2
-        self.lr = lr
         self.weights: list[np.ndarray] | None = None
         self.biases: list[np.ndarray] | None = None
 
@@ -85,9 +86,9 @@ class Mlp:
                 idx = order[start:start + self.batch_size]
                 _, gws, gbs = self._loss_and_grads(X[idx], y[idx])
                 for wi, gw in zip(self.weights, gws):
-                    wi -= self.lr * gw
+                    wi -= LEARNING_RATE * gw
                 for bi, gb in zip(self.biases, gbs):
-                    bi -= self.lr * gb
+                    bi -= LEARNING_RATE * gb
         for wi in self.weights:
             if not np.all(np.isfinite(wi)):
                 raise TrainingError("mlp diverged to non-finite weights")

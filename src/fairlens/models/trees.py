@@ -136,42 +136,26 @@ class DecisionTree:
 
 
 class RandomForest:
-    """Bootstrap-aggregated CART trees with sqrt(F) features per split.
+    """Bootstrap-aggregated CART trees with sqrt(F) features per split."""
 
-    bootstrap=False and max_features overrides exist so a 1-tree forest can
-    be checked against a plain DecisionTree.
-    """
-
-    def __init__(self, n_estimators: int, max_depth: int, min_leaf: int = 1,
-                 bootstrap: bool = True, max_features: str | int | None = "sqrt"):
+    def __init__(self, n_estimators: int, max_depth: int, min_leaf: int = 1):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.bootstrap = bootstrap
-        self.max_features = max_features
         self.trees: list[DecisionTree] = []
-
-    def _features_per_split(self, n_features: int) -> int | None:
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        return self.max_features  # int or None
 
     def fit(self, X: np.ndarray, y: np.ndarray, stream: Stream) -> "RandomForest":
         n = X.shape[0]
-        m = self._features_per_split(X.shape[1])
+        m = max(1, int(np.sqrt(X.shape[1])))
         self.trees = []
         for t in range(self.n_estimators):
             tree_stream = stream.child("tree", t)
-            if self.bootstrap:
-                idx = tree_stream.choice_indices(n, n)
-                Xt, yt = X[idx], y[idx]
-            else:
-                Xt, yt = X, y
+            idx = tree_stream.choice_indices(n, n)
             tree = DecisionTree(max_depth=self.max_depth, min_leaf=self.min_leaf,
                                 max_features=m)
-            tree.fit(Xt, yt, stream=tree_stream if m is not None else None)
+            tree.fit(X[idx], y[idx], stream=tree_stream)
             self.trees.append(tree)
         return self
 

@@ -32,7 +32,7 @@ from .fairmatrix import (Provenance, aggregate_over_folds, assemble_matrix,
                          kind_sort_key, per_model_matrix)
 from .ingest import (EncodedDataset, IngestError, encode_features,
                      extract_groups, fold_normalized, load_dataset,
-                     load_dataset_spec)
+                     load_dataset_spec, rank_groups)
 from .metrics import (ThresholdChoice, auc_or_default, balanced_accuracy,
                       confusion_at_threshold, select_threshold)
 from .models.base import predict_scores, sample_hypers
@@ -62,7 +62,6 @@ class RunConfig:
     validation_fraction: float
     model_kinds: tuple[str, ...]
     search_draws: int
-    out_dir: str
     plot_models: tuple[str, ...] | None = None
     jobs: int = 1
 
@@ -518,7 +517,8 @@ def audit_predictions(scores: dict[str, np.ndarray], y: np.ndarray,
     model's threshold is selected on the flagged rows and metrics are
     computed on the rest; with a fixed threshold every row is a metric row.
     The metric rows form one fold of the same cell path as a run (single
-    synthetic seed 0).
+    synthetic seed 0), and their groups are ordered, and the reference
+    picked, by ingest.rank_groups as in a run.
     """
     n_all = y.size
     metric_mask = ~validation if validation is not None else np.ones(n_all, dtype=bool)
@@ -549,17 +549,11 @@ def audit_predictions(scores: dict[str, np.ndarray], y: np.ndarray,
     col_vectors = {}
     for feature in features:
         names, codes = groups[feature]
-        present, inverse, sizes = np.unique(
-            codes[metric_mask], return_inverse=True, return_counts=True)
-        if present.size < 2:
+        labels, assign, sizes = rank_groups(names, codes[metric_mask])
+        if len(labels) < 2:
             raise PredictionFileError(
                 f"feature {feature!r} has a single group; nothing to compare")
-        # largest group first, ties by label; names are sorted, so a stable
-        # sort on the negated sizes keeps equal-sized groups in label order
-        rank = np.argsort(-sizes, kind="stable")
-        labels = tuple(names[present[r]] for r in rank)
         reference = labels[0]
-        assign = np.argsort(rank)[inverse]  # row -> position in labels
 
         vectors = {m: aggregate_over_folds(
             [scores[m][metric_mask]], [y_m], [assign], [thresholds[m].t_max],
@@ -568,8 +562,8 @@ def audit_predictions(scores: dict[str, np.ndarray], y: np.ndarray,
             vectors, Provenance(dataset=dataset_name, feature=feature, seed=0),
             labels, reference, plot_kinds)
         col_vectors[(dataset_name, feature)] = {0: col_dist}
-        features_out.append(feature_entry(feature, reference, labels,
-                                          sizes[rank].tolist(), [record]))
+        features_out.append(feature_entry(feature, reference, labels, sizes,
+                                          [record]))
 
     training = [training_entry(
         dataset_name, 0, m, [thresholds[m]], pooled_aucs[m],

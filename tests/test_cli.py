@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,10 +80,35 @@ def test_run_config_rejects_unknown_keys(tmp_path):
         load_run_config(cfg)
 
 
+@pytest.mark.parametrize("entry", [
+    {"datasets": "recidivism_standin.json"},
+    {"models": "nb"},
+    {"plot_models": "nb"},
+    {"plot_models": ["nb", 1]},
+    {"seeds": "3"},
+    {"folds": "x"},
+    {"folds": True},
+    {"draws": 2.5},
+    {"validation_fraction": "abc"},
+    {"validation_fraction": False},
+    {"out": 5},
+], ids=json.dumps)
+def test_run_config_rejects_wrong_value_types(tmp_path, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    key, = entry
+    with pytest.raises(ConfigError, match=re.escape(f"config {cfg}: {key}")):
+        load_run_config(cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_config_validation():
     ok = dict(dataset_specs=("s.json",), seeds=(0,), n_folds=3,
               validation_fraction=0.1, model_kinds=("logit",),
-              search_draws=1, out_dir="out")
+              search_draws=1)
     RunConfig(**ok)
     with pytest.raises(ConfigError, match="unknown model kinds"):
         RunConfig(**{**ok, "model_kinds": ("svm",)})
@@ -284,6 +310,20 @@ def test_non_string_source_path_writes_failure_manifest(tmp_path):
     assert "source_path must be a string" in failure["error"]
 
 
+@pytest.mark.parametrize("spec_text", ["[1, 2]",
+                                       '{"name": "t", "columns": ["age"]}'])
+def test_malformed_spec_writes_failure_manifest(tmp_path, spec_text):
+    spec = tmp_path / "bad.json"
+    spec.write_text(spec_text)
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "ingest"
+    assert "wrong JSON type" in failure["error"]
+
+
 def test_bad_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--datasets", "x.json", "--models", "bogus",
@@ -382,6 +422,43 @@ def test_audit_validation_column_excludes_selection_rows(tmp_path):
     assert ds["dropped_rows"] == 4
     sizes = {g["label"]: g["size"] for g in ds["features"][0]["groups"]}
     assert sizes == {"A": 400, "B": 400}
+
+
+def test_run_and_audit_order_groups_by_one_rule(tmp_path):
+    # cohort sizes tie in pairs (b and a at 120, d and c at 90), labels
+    # first appear in another order, and padded cells strip to the label
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=420, seed=9)
+    cohort = ["b", " a", "d", "c "] * 90 + ["a", "b"] * 30
+    with open(tmp_path / "t.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(tmp_path / "t.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header + ["cohort"]] + [
+            row + [cell] for row, cell in zip(rows, cohort)])
+    spec = write_spec(tmp_path, "t.csv")
+    raw = json.loads(spec.read_text())
+    raw["columns"].append({"name": "cohort", "kind": "categorical",
+                           "role": "ignore"})
+    spec.write_text(json.dumps(dict(raw, protected_features=["cohort"])))
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1", "--models", "nb",
+                 "--out", str(tmp_path / "run")]) == 0
+    preds = tmp_path / "p.csv"
+    with open(preds, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y_true", "y_score", "cohort"])
+        w.writerows((row[-1], "0.5", cell) for row, cell in zip(rows, cohort))
+    assert main(["audit", "--predictions", f"m={preds}",
+                 "--features", "cohort", "--threshold", "0.4",
+                 "--out", str(tmp_path / "audit")]) == 0
+
+    def groups(out):
+        feature, = load_bundle(tmp_path / out / "bundle.json")[
+            "datasets"][0]["features"]
+        return feature["groups"], feature["reference"]
+
+    expected = ([{"label": "a", "size": 120}, {"label": "b", "size": 120},
+                 {"label": "c", "size": 90}, {"label": "d", "size": 90}], "a")
+    assert groups("run") == groups("audit") == expected
 
 
 def test_audit_rejects_inconsistent_files(tmp_path):

@@ -4,6 +4,7 @@ The z-score oracle: column [1, 2, 3] has population std sqrt(2/3), so the
 encoded values are -1.224744871391589, 0, +1.224744871391589.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -353,3 +354,197 @@ def test_spec_with_non_string_source_path_is_an_ingest_error(tmp_path):
     p.write_text(json.dumps(spec_json), encoding="utf-8")
     with pytest.raises(IngestError, match="source_path must be a string"):
         load_dataset_spec(p)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-row encoding and group counting that code_column and
+# rank_groups replaced, kept as the reference the coded path must match
+
+def old_encode_features(table, spec):
+    kept, dropped = complete_rows(table, spec)
+    if kept.size == 0 and table.n_rows > 0:
+        raise IngestError("every row has missing cells; nothing to encode")
+    blocks, names, scaled = [], [], []
+    for col in spec.columns:
+        if col.role != "feature":
+            continue
+        cells = [table.columns[col.name][i] for i in kept]
+        if col.kind == "numeric":
+            vals = np.array([float(c) for c in cells], dtype=np.float64)
+            scaled.append(len(names))
+            names.append(col.name)
+            blocks.append(vals[:, None])
+        elif col.kind == "ordinal":
+            rank = {lev: r for r, lev in enumerate(col.levels)}
+            try:
+                vals = np.array([rank[c] for c in cells], dtype=np.float64)
+            except KeyError as exc:
+                raise IngestError(
+                    f"ordinal column {col.name!r}: value {exc} not in declared levels"
+                ) from None
+            scaled.append(len(names))
+            names.append(col.name)
+            blocks.append(vals[:, None])
+        elif col.kind == "binary":
+            observed = sorted(set(cells))
+            if len(observed) != 2:
+                raise IngestError(
+                    f"binary column {col.name!r} has {len(observed)} observed values "
+                    f"(need exactly 2): {observed[:5]}"
+                )
+            vals = np.array([observed.index(c) for c in cells], dtype=np.float64)
+            names.append(col.name)
+            blocks.append(vals[:, None])
+        elif col.kind == "categorical":
+            observed = sorted(set(cells))
+            if len(observed) < 2:
+                raise IngestError(
+                    f"categorical column {col.name!r} has a single observed value"
+                )
+            pos = {v: k for k, v in enumerate(observed)}
+            hot = np.zeros((len(cells), len(observed)), dtype=np.float64)
+            hot[np.arange(len(cells)), [pos[c] for c in cells]] = 1.0
+            names.extend(f"{col.name}={v}" for v in observed)
+            blocks.append(hot)
+    raw_design = np.hstack(blocks) if blocks else np.zeros((kept.size, 0))
+    # the label column was looked up through the since removed spec.column
+    label_cells = [table.columns[spec.label_column][i] for i in kept]
+    observed_labels = sorted(set(label_cells))
+    if kept.size and spec.positive_value not in observed_labels:
+        raise IngestError(
+            f"declared positive value {spec.positive_value!r} never observed in "
+            f"label column {spec.label_column!r} (saw {observed_labels[:5]})"
+        )
+    labels = np.array([1 if c == spec.positive_value else 0 for c in label_cells],
+                      dtype=np.int8)
+    notes = [f"column {names[j]!r} has zero variance; encoded as 0"
+             for j in scaled if raw_design[:, j].std() == 0.0]
+    return raw_design, labels, names, scaled, dropped, notes
+
+
+def old_extract_groups(table, spec):
+    kept, _ = complete_rows(table, spec)
+    out = {}
+    for feature in spec.protected_features:
+        cells = [table.columns[feature][i] for i in kept]
+        counts = {}
+        for c in cells:
+            counts[c] = counts.get(c, 0) + 1
+        if len(counts) < 2:
+            raise IngestError(
+                f"protected feature {feature!r} has a single group; "
+                "fairness comparison is degenerate"
+            )
+        order = sorted(counts, key=lambda g: (-counts[g], g))
+        index = {g: k for k, g in enumerate(order)}
+        assignments = np.array([index[c] for c in cells], dtype=np.int64)
+        explicit = spec.reference_groups.get(feature)
+        if explicit is not None:
+            if explicit not in counts:
+                raise IngestError(
+                    f"explicit reference group {explicit!r} not observed in {feature!r}"
+                )
+            reference = explicit
+        else:
+            reference = order[0]
+        out[feature] = (tuple(order), assignments,
+                        tuple(counts[g] for g in order), reference)
+    return out
+
+
+ORACLE_LEVELS = ("lo", "mid", "hi")
+
+
+def oracle_table(tmp_path, seed):
+    """A random dataset CSV with every column kind, loaded.
+
+    The kept rows have groups of tied sizes in grp and up to 40 levels in
+    cat. Dropped rows (empty num cell) follow in random places and carry
+    values that occur on no kept row.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = np.repeat(rng.choice([2, 7, 15, 30], size=rng.integers(1, 5)), 2)
+    kept = sizes.sum()
+    columns = {
+        "num": [str(v) for v in rng.integers(-3, 9, kept)],
+        "ratio": [f" {v:.3f} " for v in rng.normal(size=kept)],
+        "bin": ["no", "yes"] + rng.choice(["no", "yes"], kept - 2).tolist(),
+        "cat": [f"c{v:02d}" for v in
+                [0, 1, *rng.integers(0, rng.integers(2, 41), kept - 2)]],
+        "ord": rng.choice(ORACLE_LEVELS, kept).tolist(),
+        # labels in an order unrelated to the sizes
+        "grp": np.repeat([f"g{k}" for k in rng.permutation(sizes.size)],
+                         sizes).tolist(),
+        "y": ["0", "1"] + rng.choice(["0", "1"], kept - 2).tolist(),
+    }
+    for _ in range(rng.integers(1, 20)):
+        for name, cell in (("num", ""), ("ratio", "1"), ("bin", "maybe"),
+                           ("cat", "only-dropped"), ("ord", "undeclared"),
+                           ("grp", "g-dropped"), ("y", "1")):
+            columns[name].append(cell)
+    order = rng.permutation(len(columns["num"]))
+    src = tmp_path / "oracle.csv"
+    with open(src, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*([cells[i] for i in order]
+                               for cells in columns.values())))
+    spec = DatasetSpec(
+        name="oracle", source_path=str(src),
+        columns=(ColumnSpec("num", "numeric"), ColumnSpec("ratio", "numeric"),
+                 ColumnSpec("bin", "binary"), ColumnSpec("cat", "categorical"),
+                 ColumnSpec("ord", "ordinal", levels=ORACLE_LEVELS),
+                 ColumnSpec("grp", "categorical", role="ignore"),
+                 ColumnSpec("y", "binary", role="label")),
+        label_column="y", positive_value="1", positive_meaning="assistive",
+        protected_features=("grp", "bin"))
+    return load_dataset(spec), spec
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_coded_encoding_and_groups_match_per_row_oracle(tmp_path, seed):
+    table, spec = oracle_table(tmp_path, seed)
+    design, labels, names, scaled, dropped, notes = old_encode_features(
+        table, spec)
+    enc = encode_features(table, spec)
+    assert enc.raw_design.shape == design.shape
+    assert (enc.raw_design.view(np.int64) == design.view(np.int64)).all()
+    assert enc.labels.dtype == labels.dtype
+    assert (enc.labels == labels).all()
+    assert enc.column_names == names
+    assert enc.scaled_columns.tolist() == scaled
+    assert enc.dropped_rows == dropped > 0
+    assert enc.notes == notes
+    old = old_extract_groups(table, spec)
+    new = extract_groups(table, spec)
+    for feature, (group_labels, assignments, sizes, reference) in old.items():
+        gi = new[feature]
+        assert gi.labels == group_labels
+        assert gi.assignments.dtype == assignments.dtype
+        assert (gi.assignments == assignments).all()
+        assert gi.sizes == sizes
+        assert gi.reference == reference
+    assert len(set(new["grp"].sizes)) < len(new["grp"].sizes)  # sizes tie
+
+
+@pytest.mark.parametrize("cells", [
+    # two undeclared levels: the first kept row's, not the smaller, is named
+    {"grade": ["qq", "mid", "zz", "aa"]},
+    {"sex": ["F", "M", "M", "M"]},
+    {"sex": ["X", "M", "F", "Q"]},
+    {"y": ["1", "0", "0", "0"]},
+])
+def test_coded_encoding_errors_match_per_row_oracle(tmp_path, cells):
+    # the first row is dropped for its empty age, and its cells occur on no
+    # kept row
+    columns = {"age": ["", "1", "2", "3"], "sex": ["X", "M", "F", "M"],
+               "race": ["C", "A", "B", "A"], "grade": ["mid", "low", "mid", "high"],
+               "y": ["1", "1", "0", "1"], "extra": ["z"] * 4, **cells}
+    rows = [list(columns), *zip(*columns.values())]
+    csv_text = "".join(",".join(row) + "\n" for row in rows)
+    table, spec = toy_table(tmp_path, csv_text)
+    with pytest.raises(IngestError) as old:
+        old_encode_features(table, spec)
+    with pytest.raises(IngestError) as new:
+        encode_features(table, spec)
+    assert str(new.value) == str(old.value)

@@ -415,17 +415,23 @@ def test_rf_vote_fraction():
     assert np.allclose(s * 10, np.round(s * 10), atol=1e-12)
 
 
-def test_rf_single_tree_no_bootstrap_equals_tree():
+def test_rf_single_tree_equals_tree_on_its_bootstrap_sample():
+    # a forest is a bag of trees: tree t is fit on a bootstrap sample drawn
+    # from stream child ("tree", t), which then picks its split features
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(60, 4))
-    y = rng.integers(0, 2, size=60)
-    forest = RandomForest(n_estimators=1, max_depth=6, min_leaf=2,
-                          bootstrap=False, max_features=None)
+    n, f = 60, 4
+    X = rng.normal(size=(n, f))
+    y = rng.integers(0, 2, size=n)
+    forest = RandomForest(n_estimators=1, max_depth=6, min_leaf=2)
     forest.fit(X, y, Stream("rf-eq"))
-    tree = DecisionTree(max_depth=6, min_leaf=2).fit(X, y)
-    test = rng.normal(size=(25, 4))
+    child = Stream("rf-eq").child("tree", 0)
+    idx = child.choice_indices(n, n)
+    tree = DecisionTree(max_depth=6, min_leaf=2,
+                        max_features=max(1, int(np.sqrt(f))))
+    tree.fit(X[idx], y[idx], stream=child)
+    test = rng.normal(size=(25, f))
     votes = (tree.predict_scores(test) >= 0.5).astype(float)
-    assert np.array_equal(forest.predict_scores(test), votes)
+    assert (forest.predict_scores(test) == votes).all()
 
 
 def test_rf_deterministic_per_stream():
