@@ -115,6 +115,14 @@ class DatasetSpec:
                 raise IngestError(f"explicit reference group for unknown feature {p!r}")
 
 
+def _list_field(value, what: str) -> tuple:
+    """A spec field that must be a JSON list; tuple() would split a
+    string into its characters."""
+    if not isinstance(value, list):
+        raise IngestError(f"{what} must be a JSON list, got {value!r}")
+    return tuple(value)
+
+
 def load_dataset_spec(path: str | Path) -> DatasetSpec:
     """Read a dataset spec JSON file; source_path is read relative to it.
 
@@ -130,7 +138,8 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
                 name=c["name"],
                 kind=c["kind"],
                 role=c.get("role", "feature"),
-                levels=tuple(c.get("levels", ())),
+                levels=_list_field(c.get("levels", []),
+                                   f"column {c['name']!r}: levels"),
             )
             for c in raw["columns"]
         )
@@ -142,7 +151,8 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
             label_column=raw["label_column"],
             positive_value=str(raw["positive_value"]),
             positive_meaning=raw["positive_meaning"],
-            protected_features=tuple(raw["protected_features"]),
+            protected_features=_list_field(raw["protected_features"],
+                                           "protected_features"),
             reference_groups=dict(ref),
             base_dir=str(path.parent),
         )

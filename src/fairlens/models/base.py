@@ -158,9 +158,10 @@ def train(draw: HyperDraw, X, y, stream: Stream | None = None) -> TrainedModel:
 
 
 def predict_scores(trained: TrainedModel, X) -> np.ndarray:
-    """Scores in [0,1] for each row of X; width must match training."""
+    """Scores in [0,1] for each row of X; width must match training.
+    Non-finite scores mean a failed fit, so they raise TrainingError."""
     X = np.asarray(X, dtype=np.float64)
     scores = trained.model.predict_scores(X)
     if not np.all(np.isfinite(scores)):
-        raise ValueError(f"{trained.kind} produced non-finite scores")
+        raise TrainingError(f"{trained.kind} produced non-finite scores")
     return scores

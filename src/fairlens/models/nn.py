@@ -2,11 +2,12 @@
 
 Architecture: F -> hidden1 (ReLU) -> hidden2 (ReLU) -> 1 (sigmoid), with
 hidden widths supplied by the caller (the search maps a width multiplier P
-to P*F and (P+1)*F). Loss is mean binary cross-entropy per batch plus an
-L2 weight penalty whose gradient contribution is l2 * W (biases
-unpenalized). Constant learning rate; epoch order reshuffled per epoch
-from the caller's stream, so a (data, hyperparameters, stream key) triple
-pins every weight bit.
+to P*F and (P+1)*F). The loss is mean binary cross-entropy per batch plus
+an L2 weight penalty whose gradient contribution is l2 * W (biases
+unpenalized); it defines the gradient a step takes and is never computed
+itself. Constant learning rate; epoch order reshuffled per epoch from the
+caller's stream, so a (data, hyperparameters, stream key) triple pins
+every weight bit.
 """
 
 from __future__ import annotations
@@ -46,52 +47,50 @@ class Mlp:
             self.biases.append(np.zeros(fan_out))
 
     def _forward(self, X: np.ndarray):
+        """ReLU activations a1, a2 (positive exactly where their inputs
+        are, so they give the backward masks) and the (n, 1) scores."""
         w, b = self.weights, self.biases
-        z1 = X @ w[0] + b[0]
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ w[1] + b[1]
-        a2 = np.maximum(z2, 0.0)
-        z3 = a2 @ w[2] + b[2]
-        return z1, a1, z2, a2, z3, sigmoid(z3)
+        a1 = X @ w[0]
+        a1 += b[0]
+        np.maximum(a1, 0.0, out=a1)
+        a2 = a1 @ w[1]
+        a2 += b[1]
+        np.maximum(a2, 0.0, out=a2)
+        z3 = a2 @ w[2]
+        z3 += b[2]
+        return a1, a2, sigmoid(z3)
 
-    def _loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Mean-BCE-plus-L2 loss and gradients on one batch (y is 0/1)."""
-        m = X.shape[0]
+    def _grads(self, X: np.ndarray, y: np.ndarray):
+        """Weight and bias gradients of the loss on one batch (y is an
+        (m, 1) float column of 0/1)."""
         w = self.weights
-        z1, a1, z2, a2, z3, p = self._forward(X)
-        yc = y.reshape(-1, 1).astype(np.float64)
-        ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
-        loss = float(np.mean(ce))
-        loss += 0.5 * self.l2 * sum(float(np.sum(wi * wi)) for wi in w)
-
-        dz3 = (p - yc) / m
-        gw3 = a2.T @ dz3 + self.l2 * w[2]
-        gb3 = dz3.sum(axis=0)
-        da2 = dz3 @ w[2].T
-        dz2 = da2 * (z2 > 0)
-        gw2 = a1.T @ dz2 + self.l2 * w[1]
-        gb2 = dz2.sum(axis=0)
-        da1 = dz2 @ w[1].T
-        dz1 = da1 * (z1 > 0)
-        gw1 = X.T @ dz1 + self.l2 * w[0]
-        gb1 = dz1.sum(axis=0)
-        return loss, [gw1, gw2, gw3], [gb1, gb2, gb3]
+        a1, a2, dz3 = self._forward(X)
+        dz3 -= y
+        dz3 /= X.shape[0]
+        dz2 = dz3 * w[2].T  # a one-term product, so equal to dz3 @ w[2].T
+        dz2 *= a2 > 0
+        dz1 = dz2 @ w[1].T
+        dz1 *= a1 > 0
+        gws = [X.T @ dz1, a1.T @ dz2, a2.T @ dz3]
+        for g, wi in zip(gws, w):
+            g += self.l2 * wi
+        return gws, [dz1.sum(axis=0), dz2.sum(axis=0), dz3.sum(axis=0)]
 
     def fit(self, X: np.ndarray, y: np.ndarray, stream: Stream) -> "Mlp":
         n = X.shape[0]
+        yc = y.reshape(-1, 1).astype(np.float64)
         self._init_params(X.shape[1], stream)
+        params = self.weights + self.biases
         for _ in range(self.epochs):
             order = stream.permutation(n)
             for start in range(0, n, self.batch_size):
                 idx = order[start:start + self.batch_size]
-                _, gws, gbs = self._loss_and_grads(X[idx], y[idx])
-                for wi, gw in zip(self.weights, gws):
-                    wi -= LEARNING_RATE * gw
-                for bi, gb in zip(self.biases, gbs):
-                    bi -= LEARNING_RATE * gb
-        for wi in self.weights:
-            if not np.all(np.isfinite(wi)):
-                raise TrainingError("mlp diverged to non-finite weights")
+                gws, gbs = self._grads(X[idx], yc[idx])
+                for p, g in zip(params, gws + gbs):
+                    g *= LEARNING_RATE
+                    p -= g
+        if not all(np.all(np.isfinite(p)) for p in params):
+            raise TrainingError("mlp diverged to non-finite weights or biases")
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -100,4 +99,4 @@ class Mlp:
         if X.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"expected {self.weights[0].shape[0]} features, got {X.shape[1]}")
-        return self._forward(X)[5].ravel()
+        return self._forward(X)[2].ravel()

@@ -310,6 +310,24 @@ def test_non_string_source_path_writes_failure_manifest(tmp_path):
     assert "source_path must be a string" in failure["error"]
 
 
+def test_kind_with_nan_scores_is_excluded_with_failure_manifest(tmp_path,
+                                                               monkeypatch):
+    from fairlens.models.nn import Mlp
+    monkeypatch.setattr(Mlp, "predict_scores",
+                        lambda self, X: np.full(X.shape[0], np.nan))
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=200, seed=3)
+    spec = write_spec(tmp_path, "t.csv", name="t")
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "logit,mlp", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "search"
+    assert failure["error"] == "all draws failed for 'mlp'"
+    bundle = load_bundle(out / "bundle.json")
+    assert [t["kind"] for t in bundle["training"]] == ["logit"]
+
+
 @pytest.mark.parametrize("spec_text", ["[1, 2]",
                                        '{"name": "t", "columns": ["age"]}'])
 def test_malformed_spec_writes_failure_manifest(tmp_path, spec_text):

@@ -356,6 +356,30 @@ def test_spec_with_non_string_source_path_is_an_ingest_error(tmp_path):
         load_dataset_spec(p)
 
 
+@pytest.mark.parametrize("field, patch", [
+    ("protected_features", {"protected_features": "race"}),
+    ("levels", {"columns": [{"name": "race", "kind": "categorical"},
+                            {"name": "grade", "kind": "ordinal",
+                             "levels": "low,high"},
+                            {"name": "y", "kind": "binary", "role": "label"}]}),
+])
+def test_spec_list_field_that_is_a_string_is_an_ingest_error(tmp_path, field,
+                                                             patch):
+    # tuple() of a string would split it into characters: "race" -> 'r', ...
+    spec_json = {
+        "name": "toy", "source_path": "toy.csv",
+        "columns": [{"name": "race", "kind": "categorical"},
+                    {"name": "y", "kind": "binary", "role": "label"}],
+        "label_column": "y", "positive_value": "1",
+        "positive_meaning": "punitive", "protected_features": ["race"],
+        **patch,
+    }
+    p = tmp_path / "toy.dataset.json"
+    p.write_text(json.dumps(spec_json), encoding="utf-8")
+    with pytest.raises(IngestError, match=f"{field} must be a JSON list"):
+        load_dataset_spec(p)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the per-row encoding and group counting that code_column and
 # rank_groups replaced, kept as the reference the coded path must match

@@ -18,7 +18,7 @@ from fairlens.models import (
 from fairlens.models.bayes import GaussianNb
 from fairlens.models.linear import Logit, logit_objective, sigmoid
 from fairlens.models.neighbors import Knn
-from fairlens.models.nn import Mlp
+from fairlens.models.nn import LEARNING_RATE, Mlp
 from fairlens.models.search import DrawResult
 from fairlens.models.trees import DecisionTree, RandomForest
 from fairlens.rand import Stream
@@ -138,6 +138,106 @@ def test_logit_regularization_shrinks_weights():
 
 # ------------------------------------------------------------------------ mlp
 
+# The earlier Mlp step and sigmoid, kept as bit-for-bit oracles: the step
+# computed each batch's loss, sent the one-term outer product through
+# matmul and built new arrays for every update; sigmoid picked its two
+# branches by boolean masks.
+
+
+def oracle_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_forward(net, X):
+    w, b = net.weights, net.biases
+    z1 = X @ w[0] + b[0]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w[1] + b[1]
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ w[2] + b[2]
+    return z1, a1, z2, a2, z3, oracle_sigmoid(z3)
+
+
+def oracle_loss_and_grads(net, X, y):
+    """Mean-BCE-plus-L2 loss and gradients on one batch (y is 0/1)."""
+    m = X.shape[0]
+    w = net.weights
+    z1, a1, z2, a2, z3, p = oracle_forward(net, X)
+    yc = y.reshape(-1, 1).astype(np.float64)
+    ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
+    loss = float(np.mean(ce))
+    loss += 0.5 * net.l2 * sum(float(np.sum(wi * wi)) for wi in w)
+
+    dz3 = (p - yc) / m
+    gw3 = a2.T @ dz3 + net.l2 * w[2]
+    gb3 = dz3.sum(axis=0)
+    da2 = dz3 @ w[2].T
+    dz2 = da2 * (z2 > 0)
+    gw2 = a1.T @ dz2 + net.l2 * w[1]
+    gb2 = dz2.sum(axis=0)
+    da1 = dz2 @ w[1].T
+    dz1 = da1 * (z1 > 0)
+    gw1 = X.T @ dz1 + net.l2 * w[0]
+    gb1 = dz1.sum(axis=0)
+    return loss, [gw1, gw2, gw3], [gb1, gb2, gb3]
+
+
+def oracle_fit(net, X, y, stream):
+    n = X.shape[0]
+    net._init_params(X.shape[1], stream)
+    for _ in range(net.epochs):
+        order = stream.permutation(n)
+        for start in range(0, n, net.batch_size):
+            idx = order[start:start + net.batch_size]
+            _, gws, gbs = oracle_loss_and_grads(net, X[idx], y[idx])
+            for wi, gw in zip(net.weights, gws):
+                wi -= LEARNING_RATE * gw
+            for bi, gb in zip(net.biases, gbs):
+                bi -= LEARNING_RATE * gb
+    return net
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+def test_sigmoid_bits_match_masked_oracle():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        800.0, -800.0, 5e-324, -5e-324, 709.8, -745.2])
+    rng = np.random.default_rng(21)
+    for z in (special, special.reshape(3, 4), special.reshape(-1, 1),
+              rng.normal(scale=30.0, size=10_000),
+              rng.normal(size=(64, 1))):
+        assert np.array_equal(bits(sigmoid(z)), bits(oracle_sigmoid(z)))
+
+
+@pytest.mark.parametrize("n, f, hidden", [
+    (15, 3, (4, 5)),    # below one batch
+    (16, 3, (4, 5)),    # exactly one batch
+    (17, 3, (4, 5)),    # one row past a batch
+    (45, 3, (4, 5)),    # partial tail batch
+    (40, 1, (2, 3)),    # single-column X
+    (70, 10, (90, 100)),  # the search's widths at P = 9
+])
+def test_mlp_weight_bits_match_oracle(n, f, hidden):
+    rng = np.random.default_rng(n * f)
+    X = rng.normal(size=(n, f))
+    y = (rng.random(n) < 0.4).astype(np.int64)
+    y[:2] = (0, 1)
+    kw = dict(hidden1=hidden[0], hidden2=hidden[1], epochs=4, batch_size=16)
+    net = Mlp(**kw).fit(X, y, Stream("oracle", n))
+    old = oracle_fit(Mlp(**kw), X, y, Stream("oracle", n))
+    for got, want in zip(net.weights + net.biases, old.weights + old.biases):
+        assert np.array_equal(bits(got), bits(want))
+    assert np.array_equal(bits(net.predict_scores(X)),
+                          bits(oracle_forward(old, X)[5].ravel()))
+
+
 def test_mlp_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(8, 2))
@@ -149,27 +249,51 @@ def test_mlp_gradients_match_finite_differences():
     # parameter to a generic point before comparing.
     for b in net.biases:
         b += rng.normal(scale=0.1, size=b.shape)
-    _, gws, gbs = net._loss_and_grads(X, y)
+
+    def loss():
+        """Mean BCE plus the L2 weight penalty: the loss _grads descends."""
+        w, b = net.weights, net.biases
+        a1 = np.maximum(X @ w[0] + b[0], 0.0)
+        a2 = np.maximum(a1 @ w[1] + b[1], 0.0)
+        z3 = a2 @ w[2] + b[2]
+        yc = y.reshape(-1, 1)
+        ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
+        return float(np.mean(ce)) + 0.5 * net.l2 * sum(
+            float(np.sum(wi * wi)) for wi in w)
+
+    gws, gbs = net._grads(X, y.reshape(-1, 1).astype(np.float64))
     h = 1e-6
     for layer in range(3):
         W = net.weights[layer]
         for idx in [(0, 0), (W.shape[0] - 1, W.shape[1] - 1)]:
             orig = W[idx]
             W[idx] = orig + h
-            up, _, _ = net._loss_and_grads(X, y)
+            up = loss()
             W[idx] = orig - h
-            dn, _, _ = net._loss_and_grads(X, y)
+            dn = loss()
             W[idx] = orig
             fd = (up - dn) / (2 * h)
             assert gws[layer][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
         B = net.biases[layer]
         orig = B[0]
         B[0] = orig + h
-        up, _, _ = net._loss_and_grads(X, y)
+        up = loss()
         B[0] = orig - h
-        dn, _, _ = net._loss_and_grads(X, y)
+        dn = loss()
         B[0] = orig
         assert gbs[layer][0] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
+
+
+def test_mlp_non_finite_bias_is_a_training_error(monkeypatch):
+    # finite weights but a NaN bias used to pass and give NaN scores
+    def nan_bias_grads(self, X, y):
+        return ([np.zeros_like(w) for w in self.weights],
+                [np.full_like(b, np.nan) for b in self.biases])
+
+    monkeypatch.setattr(Mlp, "_grads", nan_bias_grads)
+    X, y = blobs(np.random.default_rng(22), n=20)
+    with pytest.raises(TrainingError, match="non-finite"):
+        Mlp(hidden1=3, hidden2=4, epochs=1).fit(X, y, Stream("nan-bias"))
 
 
 def test_mlp_learns_separable_blobs():
@@ -592,3 +716,13 @@ def test_search_kind_all_failed_excluded():
     assert outcome.winner_models is None
     assert outcome.winner_val_scores is None
     assert all(r.failed for r in outcome.report.results)
+
+
+def test_search_kind_marks_non_finite_scores_failed(monkeypatch):
+    monkeypatch.setattr(GaussianNb, "predict_scores",
+                        lambda self, X: np.full(X.shape[0], np.nan))
+    folds = make_folds(np.random.default_rng(23), n_folds=2)
+    outcome = search_kind("nb", sample_hypers("nb", 2, 0), folds,
+                          base_ids=("toy", 0))
+    assert outcome.report.winner is None
+    assert all("non-finite scores" in r.error for r in outcome.report.results)
