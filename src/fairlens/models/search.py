@@ -21,7 +21,9 @@ from .base import HyperDraw, TrainedModel, TrainingError, train
 
 log = logging.getLogger("fairlens.models")
 
-_FAILURE_KINDS = (TrainingError, ArithmeticError, np.linalg.LinAlgError)
+# LinAlgError is a ValueError; a ValueError from a kind's fit or predict
+# (a bad shape, an out-of-range parameter) fails the draw, not the run
+_FAILURE_KINDS = (TrainingError, ArithmeticError, ValueError)
 
 
 @dataclass

@@ -328,6 +328,29 @@ def test_kind_with_nan_scores_is_excluded_with_failure_manifest(tmp_path,
     assert [t["kind"] for t in bundle["training"]] == ["logit"]
 
 
+@pytest.mark.parametrize("method", ["fit", "predict_scores"])
+def test_kind_raising_value_error_fails_its_draws_not_the_run(tmp_path,
+                                                              monkeypatch,
+                                                              method):
+    from fairlens.models.bayes import GaussianNb
+
+    def broken(self, *args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(GaussianNb, method, broken)
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=200, seed=3)
+    spec = write_spec(tmp_path, "t.csv", name="t")
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "logit,nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "search"
+    assert failure["error"] == "all draws failed for 'nb'"
+    bundle = load_bundle(out / "bundle.json")
+    assert [t["kind"] for t in bundle["training"]] == ["logit"]
+
+
 @pytest.mark.parametrize("spec_text", ["[1, 2]",
                                        '{"name": "t", "columns": ["age"]}'])
 def test_malformed_spec_writes_failure_manifest(tmp_path, spec_text):

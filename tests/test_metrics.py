@@ -225,6 +225,28 @@ def test_threshold_single_class_fallback():
     assert ch.degenerate
 
 
+def grid_sweep_ba(scores, labels, grid):
+    """Balanced accuracy at every grid threshold in one broadcast: the
+    counts of confusion_at_threshold, then BA in balanced_accuracy's
+    operation order."""
+    pred = scores[None, :] >= grid[:, None]
+    pos = labels == 1
+    tp, fn = (pred & pos).sum(axis=1), (~pred & pos).sum(axis=1)
+    tn, fp = (~pred & ~pos).sum(axis=1), (pred & ~pos).sum(axis=1)
+    tpr = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
+    tnr = np.where(tn + fp > 0, tn / np.maximum(tn + fp, 1), 0.0)
+    return (tpr + tnr) / 2.0
+
+
+def test_grid_sweep_matches_confusion_counts():
+    rng = np.random.default_rng(10)
+    scores = np.round(rng.uniform(0.01, 0.99, size=25), 2)
+    labels = rng.integers(0, 2, size=25)
+    grid = np.linspace(0.0, 1.0, 101)
+    loop = [balanced_accuracy(confusion_at_threshold(scores, labels, t)) for t in grid]
+    assert grid_sweep_ba(scores, labels, grid).tolist() == loop
+
+
 def test_threshold_matches_grid_sweep():
     rng = np.random.default_rng(9)
     for trial in range(60):
@@ -233,10 +255,7 @@ def test_threshold_matches_grid_sweep():
         labels[:2] = [0, 1]
         scores = np.round(rng.uniform(0.01, 0.99, size=n), 2)
         ch = select_threshold(scores, labels)
-        grid_best = max(
-            balanced_accuracy(confusion_at_threshold(scores, labels, t))
-            for t in np.linspace(0.0, 1.0, 10001)
-        )
+        grid_best = grid_sweep_ba(scores, labels, np.linspace(0.0, 1.0, 10001)).max()
         assert ch.achieved_ba == pytest.approx(grid_best, abs=1e-12), f"trial {trial}"
         assert 0.0 < ch.t_max < 1.0
 

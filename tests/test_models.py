@@ -509,14 +509,14 @@ def test_tree_min_leaf_respected():
     y = rng.integers(0, 2, size=40)
     m = DecisionTree(max_depth=10, min_leaf=5).fit(X, y)
 
-    def leaf_sizes(node, X, idx):
-        if node.is_leaf:
+    def leaf_sizes(node, idx):
+        if m.feature[node] < 0:
             return [idx.size]
-        mask = X[idx, node.feature] <= node.threshold
-        return (leaf_sizes(node.left, X, idx[mask])
-                + leaf_sizes(node.right, X, idx[~mask]))
+        mask = X[idx, m.feature[node]] <= m.threshold[node]
+        return (leaf_sizes(m.left[node], idx[mask])
+                + leaf_sizes(m.right[node], idx[~mask]))
 
-    sizes = leaf_sizes(m.root, X, np.arange(40))
+    sizes = leaf_sizes(0, np.arange(40))
     assert min(sizes) >= 5
     assert sum(sizes) == 40
 
@@ -565,6 +565,254 @@ def test_rf_deterministic_per_stream():
     a = RandomForest(5, 4).fit(X, y, Stream("rf-det", 0)).predict_scores(t)
     b = RandomForest(5, 4).fit(X, y, Stream("rf-det", 0)).predict_scores(t)
     assert np.array_equal(a, b)
+
+
+# The recursive one-node-at-a-time CART that the batched grower replaced,
+# kept as a bit-identity oracle: trees, thresholds, leaf scores and the
+# order of a forest tree's feature draws must all be equal.
+
+class OracleNode:
+    def __init__(self, score):
+        self.feature, self.threshold, self.score = -1, 0.0, score
+        self.left = self.right = None
+
+
+def oracle_gini(n_pos, n):
+    frac = np.where(n > 0, n_pos / np.maximum(n, 1), 0.0)
+    return 2.0 * frac * (1.0 - frac)
+
+
+def oracle_best_split(X, y, features, min_leaf):
+    n = y.size
+    pos_total = float(y.sum())
+    best = None
+    for f in features:
+        vals = X[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = y[order]
+        cut = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+        if cut.size == 0:
+            continue
+        n_left = cut.astype(np.float64)
+        ok = (cut >= min_leaf) & (n - cut >= min_leaf)
+        if not ok.any():
+            continue
+        pos_prefix = np.cumsum(sy)[cut - 1].astype(np.float64)
+        g_left = oracle_gini(pos_prefix, n_left)
+        g_right = oracle_gini(pos_total - pos_prefix, n - n_left)
+        weighted = (n_left * g_left + (n - n_left) * g_right) / n
+        weighted[~ok] = np.inf
+        j = int(np.argmin(weighted))
+        thr = (sv[cut[j] - 1] + sv[cut[j]]) / 2.0
+        cand = (float(weighted[j]), int(f), float(thr))
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def oracle_build(X, y, depth, max_depth, min_leaf, max_features=None,
+                 stream=None):
+    node = OracleNode(float(np.mean(y)) if y.size else 0.0)
+    if depth >= max_depth or y.size < 2 * min_leaf or node.score in (0.0, 1.0):
+        return node
+    if max_features is None:
+        features = np.arange(X.shape[1])
+    else:
+        m = min(max_features, X.shape[1])
+        features = np.sort(stream.permutation(X.shape[1])[:m])
+    best = oracle_best_split(X, y, features, min_leaf)
+    if best is None:
+        return node
+    _, node.feature, node.threshold = best
+    mask = X[:, node.feature] <= node.threshold
+    node.left = oracle_build(X[mask], y[mask], depth + 1, max_depth, min_leaf,
+                             max_features, stream)
+    node.right = oracle_build(X[~mask], y[~mask], depth + 1, max_depth,
+                              min_leaf, max_features, stream)
+    return node
+
+
+def oracle_route(node, X, idx, out):
+    if idx.size == 0:
+        return
+    if node.left is None:
+        out[idx] = node.score
+        return
+    mask = X[idx, node.feature] <= node.threshold
+    oracle_route(node.left, X, idx[mask], out)
+    oracle_route(node.right, X, idx[~mask], out)
+
+
+def oracle_scores(root, X):
+    out = np.empty(X.shape[0])
+    oracle_route(root, X, np.arange(X.shape[0]), out)
+    return out
+
+
+def oracle_forest(X, y, n_trees, max_depth, min_leaf, stream):
+    n, m = X.shape[0], max(1, int(np.sqrt(X.shape[1])))
+    roots = []
+    for t in range(n_trees):
+        child = stream.child("tree", t)
+        idx = child.choice_indices(n, n)
+        roots.append(oracle_build(X[idx], y[idx].astype(np.int64), 0,
+                                  max_depth, min_leaf, m, child))
+    return roots
+
+
+def preorder_oracle(node):
+    if node.left is None:
+        return [(-1, 0.0, node.score)]
+    return ([(node.feature, node.threshold, node.score)]
+            + preorder_oracle(node.left) + preorder_oracle(node.right))
+
+
+def preorder_flat(tree, k):
+    if tree.feature[k] < 0:
+        return [(-1, 0.0, tree.score[k])]
+    return ([(int(tree.feature[k]), tree.threshold[k], tree.score[k])]
+            + preorder_flat(tree, tree.left[k]) + preorder_flat(tree, tree.right[k]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_tree_matches(tree, k, oracle_root):
+    assert same_bits(preorder_flat(tree, k), preorder_oracle(oracle_root))
+
+
+def standin_like(rng, n):
+    """Few distinct values per feature, like the encoded stand-in design."""
+    X = np.column_stack([rng.integers(18, 70, n), rng.integers(0, 2, n),
+                         rng.integers(0, 5, n), rng.poisson(0.3, n),
+                         rng.poisson(3.0, n), rng.integers(0, 2, n)]).astype(float)
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    y = (rng.random(n) < 1 / (1 + np.exp(X[:, 4] - 0.5 * X[:, 0]))).astype(int)
+    return X, y
+
+
+def continuous(rng, n):
+    """No repeated value in any feature."""
+    X = rng.normal(size=(n, 5))
+    return X, (X[:, 0] + rng.normal(size=n) > 0).astype(int)
+
+
+@pytest.mark.parametrize("data", [standin_like, continuous])
+@pytest.mark.parametrize("max_depth, min_leaf", [(30, 1), (10, 5), (45, 2), (5, 10)])
+def test_tree_bits_match_recursive_oracle(data, max_depth, min_leaf):
+    rng = np.random.default_rng(40)
+    X, y = data(rng, 600)
+    tree = DecisionTree(max_depth, min_leaf).fit(X, y)
+    root = oracle_build(X, y, 0, max_depth, min_leaf)
+    assert_tree_matches(tree, 0, root)
+    test = np.vstack([X, data(rng, 200)[0]])
+    assert same_bits(tree.predict_scores(test), oracle_scores(root, test))
+
+
+@pytest.mark.parametrize("data", [standin_like, continuous])
+@pytest.mark.parametrize("n_trees, max_depth, min_leaf",
+                         [(12, 30, 1), (8, 12, 4), (5, 5, 10)])
+def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
+                                                 max_depth, min_leaf):
+    rng = np.random.default_rng(41)
+    X, y = data(rng, 400)
+    draws = {}
+    real = Stream.permutation
+
+    def recording(self, n):
+        out = real(self, n)
+        draws.setdefault(self.ids, []).append(out)
+        return out
+
+    monkeypatch.setattr(Stream, "permutation", recording)
+    roots = oracle_forest(X, y, n_trees, max_depth, min_leaf, Stream("rf-o", 1))
+    oracle_draws, draws = draws, {}
+    forest = RandomForest(n_trees, max_depth, min_leaf).fit(X, y, Stream("rf-o", 1))
+    # each tree draws its split features in the oracle's preorder
+    assert draws.keys() == oracle_draws.keys()
+    for ids, seq in oracle_draws.items():
+        assert len(draws[ids]) == len(seq)
+        assert all(np.array_equal(a, b) for a, b in zip(draws[ids], seq))
+    for t, root in enumerate(roots):
+        assert_tree_matches(forest.trees, t, root)
+    test = np.vstack([X, data(rng, 100)[0]])
+    votes = sum((oracle_scores(root, test) >= 0.5).astype(float) for root in roots)
+    assert same_bits(forest.predict_scores(test), votes / n_trees)
+
+
+def test_tree_ties_across_features_keep_the_first_feature():
+    # columns 0 and 2 are equal and column 1 mirrors them, so every split
+    # ties exactly across features
+    rng = np.random.default_rng(42)
+    base = rng.integers(0, 6, size=200).astype(float)
+    X = np.column_stack([base, -base, base])
+    y = (base + rng.integers(0, 3, size=200) > 4).astype(int)
+    tree = DecisionTree(max_depth=6).fit(X, y)
+    root = oracle_build(X, y, 0, 6, 1)
+    assert_tree_matches(tree, 0, root)
+    assert set(tree.feature[tree.feature >= 0].tolist()) == {0}
+
+
+def test_tree_constant_feature_and_single_class():
+    rng = np.random.default_rng(43)
+    X = np.column_stack([np.full(50, 3.0), rng.normal(size=50)])
+    y = (X[:, 1] > 0).astype(int)
+    tree = DecisionTree(max_depth=8).fit(X, y)
+    assert_tree_matches(tree, 0, oracle_build(X, y, 0, 8, 1))
+    assert 0 not in tree.feature.tolist()
+    single = DecisionTree(max_depth=8).fit(X, np.ones(50, dtype=int))
+    assert single.feature.tolist() == [-1]
+    assert single.predict_scores(X).tolist() == [1.0] * 50
+
+
+@pytest.mark.parametrize("max_depth, min_leaf", [(8, 26), (1, 1), (1, 7)])
+def test_tree_min_leaf_above_half_and_depth_one(max_depth, min_leaf):
+    rng = np.random.default_rng(44)
+    X, y = continuous(rng, 50)
+    tree = DecisionTree(max_depth, min_leaf).fit(X, y)
+    root = oracle_build(X, y, 0, max_depth, min_leaf)
+    assert_tree_matches(tree, 0, root)
+    assert tree.feature.size == (1 if min_leaf > 25 else 3)
+
+
+def test_tree_routes_by_value_when_the_midpoint_rounds_up():
+    # a = 1 + 2**-52 and its successor b: (a + b) / 2 rounds to b, so rows
+    # equal to b go left with a; routing by rank would send them right
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a]] * 6 + [[b]] * 6 + [[2.0]] * 6)
+    y = np.array([0] * 6 + [1] * 3 + [0] * 3 + [1] * 6)
+    tree = DecisionTree(max_depth=4).fit(X, y)
+    root = oracle_build(X, y, 0, 4, 1)
+    assert_tree_matches(tree, 0, root)
+    assert b in tree.threshold.tolist()
+    assert same_bits(tree.predict_scores(X), oracle_scores(root, X))
+
+
+def test_forest_first_step_spans_several_batches(monkeypatch):
+    from fairlens.models import trees
+
+    batches = []
+    real = trees._best_splits
+
+    def recording(sorted_X, code, shift, rows, feats, min_leaf):
+        batches.append(sum(r.size for r in rows) * feats.shape[1])
+        return real(sorted_X, code, shift, rows, feats, min_leaf)
+
+    monkeypatch.setattr(trees, "_best_splits", recording)
+    rng = np.random.default_rng(45)
+    X, y = continuous(rng, 3000)  # 5 features, 2 per split: 6000 keys a root
+    roots = oracle_forest(X, y, 20, 6, 3, Stream("rf-cap", 0))
+    forest = RandomForest(20, 6, 3).fit(X, y, Stream("rf-cap", 0))
+    # the 20 roots hold 120,000 keys, more than one batch may
+    assert batches[0] < 20 * 6000 and sum(batches[:2]) <= 20 * 6000
+    assert max(batches) <= 2 * trees._BATCH_KEYS
+    for t, root in enumerate(roots):
+        assert_tree_matches(forest.trees, t, root)
 
 
 # ------------------------------------------------------------------------- nb
