@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,6 +351,26 @@ def _search_job(payload):
     return dataset, seed, kind, outcome
 
 
+def _search_all(jobs: list, n_jobs: int) -> tuple[dict, dict]:
+    """Search outcomes by (seed, kind), and the error for each one lost.
+
+    A worker that dies breaks the pool: the searches it had not finished
+    are lost, and the ones that finished are kept.
+    """
+    if n_jobs == 1 or len(jobs) < 2:
+        return {(seed, kind): outcome
+                for _, seed, kind, outcome in map(_search_job, jobs)}, {}
+    outcomes, lost = {}, {}
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futures = [pool.submit(_search_job, job) for job in jobs]
+        for (_, seed, kind, _, _), future in zip(jobs, futures):
+            try:
+                outcomes[(seed, kind)] = future.result()[3]
+            except BrokenProcessPool as exc:
+                lost[(seed, kind)] = exc
+    return outcomes, lost
+
+
 def _finish_kind(outcome: KindSearchOutcome, folds: list[FoldData],
                  test_X: list[np.ndarray],
                  fold_labels: list[np.ndarray]) -> _SeedKindResult:
@@ -416,13 +437,7 @@ def run_pipeline(config: RunConfig) -> tuple[dict | None, list[dict]]:
                 draws = sample_hypers(kind, config.search_draws, seed)
                 jobs.append((name, seed, kind, draws, folds))
 
-        if config.jobs > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                searched = list(pool.map(_search_job, jobs))
-        else:
-            searched = map(_search_job, jobs)
-        outcomes = {(seed, kind): outcome
-                    for _, seed, kind, outcome in searched}
+        outcomes, lost = _search_all(jobs, config.jobs)
 
         for seed in config.seeds:
             if seed not in seed_folds:
@@ -431,6 +446,10 @@ def run_pipeline(config: RunConfig) -> tuple[dict | None, list[dict]]:
             fold_labels = [y[sp.test] for sp in splits]
             kind_results: dict[str, _SeedKindResult] = {}
             for kind in kinds:
+                if (seed, kind) in lost:
+                    fail(name, "*", seed, "search",
+                         f"{kind}: {lost[(seed, kind)]}")
+                    continue
                 outcome = outcomes[(seed, kind)]
                 if outcome.winner_models is None:
                     fail(name, "*", seed, "search",

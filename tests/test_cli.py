@@ -4,10 +4,12 @@ prediction file reader, subcommands."""
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -392,6 +394,37 @@ def test_parallel_jobs_match_serial(tmp_path):
     a = (tmp_path / "serial" / "bundle.json").read_bytes()
     b = (tmp_path / "par2" / "bundle.json").read_bytes()
     assert a == b
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched search")
+def test_dead_worker_fails_its_search_not_the_run(tmp_path, monkeypatch,
+                                                  capsys):
+    from fairlens import pipeline
+
+    real_search = pipeline.search_kind
+
+    def dying_search(kind, draws, folds, base_ids):
+        if (kind, base_ids[1]) == ("nb", 1):
+            time.sleep(2)  # the other three searches finish meanwhile
+            os._exit(1)
+        return real_search(kind, draws, folds, base_ids=base_ids)
+
+    monkeypatch.setattr(pipeline, "search_kind", dying_search)
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=300, seed=9)
+    spec = write_spec(tmp_path, "t.csv", name="dead")
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "2",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "logit,nb", "--jobs", "2",
+                 "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert (failure["seed"], failure["stage"]) == (1, "search")
+    assert failure["error"].startswith("nb: A process in the process pool")
+    bundle = load_bundle(out / "bundle.json")
+    assert [(t["seed"], t["kind"]) for t in bundle["training"]] == [
+        (0, "logit"), (0, "nb"), (1, "logit")]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # -- audit mode --------------------------------------------------------------

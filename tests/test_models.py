@@ -17,7 +17,7 @@ from fairlens.models import (
 )
 from fairlens.models.bayes import GaussianNb
 from fairlens.models.linear import Logit, logit_objective, sigmoid
-from fairlens.models.neighbors import Knn
+from fairlens.models.neighbors import Knn, _pairwise_sum, _sum_depth
 from fairlens.models.nn import LEARNING_RATE, Mlp
 from fairlens.models.search import DrawResult
 from fairlens.models.trees import DecisionTree, RandomForest
@@ -399,9 +399,10 @@ def _assert_knn_matches_oracle(X, y, test, ks):
 
 def test_knn_distances_bit_identical():
     # neighbor choices rarely hinge on the last bit of a distance, so the
-    # distances themselves are compared, on data whose cubes and sums round
+    # distances themselves are compared, on data whose cubes and sums round;
+    # the feature counts reach every branch of the pairwise sum
     rng = np.random.default_rng(29)
-    for F in (1, 3, 10, 13):
+    for F in (1, 3, 10, 13, 17, 130):
         X = np.vstack([rng.normal(size=(150, F)),
                        np.round(rng.normal(size=(150, F)), 1)])
         y = rng.integers(0, 2, size=300)
@@ -409,11 +410,40 @@ def test_knn_distances_bit_identical():
         rows = np.unique(X, axis=0)
         for metric in KNN_METRICS:
             m = Knn(n_neighbors=5, metric=metric).fit(X, y)
-            got = m._distances(test, np.empty((len(test), m._values.size)),
-                               np.empty((len(test),) + rows.shape))
+            got = m._distances(
+                test, np.empty((m._values.size, len(test))),
+                np.empty((_sum_depth(F), len(rows), len(test)))).T
             want = _oracle_knn_distances(test, rows, metric)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                 (F, metric)
+
+
+def _spread_terms(rng, n_terms, n_sums):
+    """Terms whose magnitudes span 16 decades, so the order of adding them
+    shows in the bits of most sums."""
+    return (rng.random((n_terms, n_sums))
+            * 10.0 ** rng.uniform(-8, 8, size=(n_terms, n_sums)))
+
+
+def _sum_rows(terms, n, lo=0):
+    slabs = np.empty((_sum_depth(n), terms.shape[1]))
+    return _pairwise_sum(lambda i, out: np.copyto(out, terms[i]), n, slabs,
+                         lo).copy()
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
+def test_pairwise_sum_matches_numpy_sum_bits(n):
+    terms = _spread_terms(np.random.default_rng(n), n, 500)
+    want = np.sum(np.ascontiguousarray(terms.T), axis=-1)
+    got = _sum_rows(terms, n)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the tempting order, the first term plus the pairwise sum of the rest,
+    # is numpy's only up to two terms
+    if n > 1:
+        first_plus_rest = terms[0] + _sum_rows(terms, n - 1, lo=1)
+        same = np.array_equal(first_plus_rest.view(np.int64),
+                              want.view(np.int64))
+        assert same == (n == 2)
 
 
 def test_knn_bit_identical_on_duplicated_grid():
@@ -461,6 +491,44 @@ def test_knn_bit_identical_on_single_class_and_training_queries():
     _assert_knn_matches_oracle(X, y, X, ks=(1, 5, 20, 100))
 
 
+@pytest.mark.parametrize("F", [7, 8, 9, 17])
+def test_knn_bit_identical_at_each_pairwise_sum_branch(F):
+    # in order below 8 features, one term per accumulator at 8 and 9, and
+    # accumulators of two terms from 16
+    rng = np.random.default_rng(35 + F)
+    X = np.vstack([rng.normal(size=(100, F)),
+                   rng.integers(0, 3, size=(100, F)).astype(float)])
+    y = rng.integers(0, 2, size=200)
+    test = np.vstack([rng.normal(size=(30, F)), X[::9]])
+    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20))
+
+
+def test_knn_work_space_is_reused_for_the_last_block():
+    import tracemalloc
+
+    from fairlens.models import neighbors
+
+    rng = np.random.default_rng(36)
+    n, F = 3000, 10
+    X = rng.normal(size=(n, F))
+    y = rng.integers(0, 2, size=n)
+    # a full block and a last block one row short of full
+    test = rng.normal(size=(2 * neighbors._BLOCK - 1, F))
+    m = Knn(n_neighbors=9, metric="minkowski").fit(X, y)
+    n_values = m._values.size
+    # the work space of gathering every term into a (block, distinct rows,
+    # features) array from a (block, distinct values) table
+    bound = 8 * neighbors._BLOCK * (n * F + n_values)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m.predict_scores(test)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * bound, (peak, bound)
+
+
 def test_knn_terms_computed_once_per_distinct_value(monkeypatch):
     from fairlens.models import neighbors
 
@@ -479,10 +547,10 @@ def test_knn_terms_computed_once_per_distinct_value(monkeypatch):
     Knn(n_neighbors=9, metric="minkowski").fit(X, y).predict_scores(test)
     n_queries = np.unique(test, axis=0).shape[0]
     n_values = sum(np.unique(X[:, j]).size for j in range(6))
-    # one table per block of distinct query rows, one column per distinct
-    # (feature, value) pair: 30 columns, not 2000 x 6 terms per query row
-    assert all(s[0] <= neighbors._BLOCK and s[1] == n_values for s in shapes)
-    assert sum(s[0] for s in shapes) == n_queries
+    # one table per block of distinct query rows, one row per distinct
+    # (feature, value) pair: 30 rows, not 2000 x 6 terms per query row
+    assert all(s[0] == n_values and s[1] <= neighbors._BLOCK for s in shapes)
+    assert sum(s[1] for s in shapes) == n_queries
     assert len(shapes) == -(-n_queries // neighbors._BLOCK)
 
 
