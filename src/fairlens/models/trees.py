@@ -13,30 +13,55 @@ max_depth. Zero-gain splits are accepted (Gini is concave, so weighted child
 impurity never exceeds the parent's); problems like XOR need them at the
 root. Growth still ends via depth, purity and min_leaf.
 
-Rank encoding: once per fit, each cell is coded as rank << 1 | label, where
-the rank is the cell's position in its sorted feature column, so equal
-values share a rank and the rank indexes the sorted column.
+Weighted distinct rows: once per fit, the training rows are reduced to
+their distinct (x, y) pairs, and each tree weights every distinct row by
+its multiplicity in the tree's bootstrap sample (or in the training set,
+for a plain tree). Every count the search and the stopping tests use (node
+size, left size, positives, min_leaf and 2 * min_leaf) is a sum of these
+integer weights, so it equals the count over the repeated rows, and every
+Gini value, cut, tie and leaf score keeps its bits.
 
-Batched split search: one integer sort of (node, feature, code) keys scores
-a whole batch of open nodes. Inside each (node, feature) segment, the
-boundaries between runs of equal rank are the candidate cuts, their offsets
-are the left sizes, and a running count of label bits gives the left
-positives. Each candidate then gets the same Gini arithmetic as a one-node
-search, and each node keeps its first minimum in (feature, threshold)
-order, so batching changes no bit. A threshold is the midpoint of the two
-distinct values; rows are routed by value, not by rank, because the
-midpoint of two adjacent floats can round onto the upper one. A batch holds
-at most _BATCH_KEYS keys (or one node that alone has more), and a child's
-rows are copied out of the batch's buffer; both bound a fit's memory.
+Rank encoding: each cell is coded by its rank among its feature's sorted
+distinct values, so equal values share a rank and the rank indexes the
+feature's value table. A sort key holds, from the high bits down, the
+(node, feature) segment, the rank, the label and the weight; it is an
+int32 whenever (segments << (rank, label and weight bits)) fits, else an
+int64.
+
+Batched split search: one integer sort of the keys scores a whole batch of
+open nodes. Runs of equal (segment, rank, label) are summed into weights,
+and running sums from each segment's start give the left size and left
+positives at every rank change inside a segment: the candidate cuts. Each
+candidate then gets the same Gini arithmetic as a one-node search, and
+each node keeps its first minimum in (feature, threshold) order, so
+batching changes no bit. A threshold is the midpoint of the two distinct
+values; rows are routed by value, not by rank, because the midpoint of two
+adjacent floats can round onto the upper one. A batch holds at most
+_BATCH_KEYS keys (or one node that alone has more).
+
+Flat row buffer: the distinct rows of every tree sit in one buffer, tree
+after tree, with their label and weight words beside them, and a node is a
+contiguous range of it. A split partitions its node's range in place,
+lefts first, so children are subranges and no rows are copied per node.
+Open nodes are rows of one integer array (tree, id, range, depth, weight,
+positive weight).
 
 Growth order: a tree that tries every feature scores its whole open
-frontier in each step. A tree that subsamples features draws them from its
-stream at each node in depth-first preorder, so it contributes only its next
-preorder node to each step. A forest advances all of its trees in lockstep,
-and every tree draws its features in the same order as when grown alone.
+frontier in each step. A tree that subsamples features uses one
+permutation of its stream per node in depth-first preorder, so it
+contributes only its next preorder node (the top of its stack) to each
+step. A forest advances all of its trees in lockstep: a tree is open from
+the first step until its stack runs out, so in step k every open tree
+scores its preorder node k. Each tree's permutations are drawn in blocks
+(Stream.permutations), whose rows are the draws that one permutation call
+per node would make, so every tree uses the same features as when grown
+alone; the unused rest of its last block is never read.
 
-Fitted nodes are flat arrays; a leaf has feature -1 and is its own child.
-Prediction moves all rows, for all trees of a forest, one level per gather.
+Fitted nodes are flat arrays; a leaf has feature -1 and is its own child,
+and a left child's id is its right sibling's + 1. Prediction routes one row
+of each class of query rows that lie between the same two thresholds of
+every feature (such rows reach the same leaves), for all trees of a forest
+one level per gather, and copies each score to the rows of its class.
 """
 
 from __future__ import annotations
@@ -46,41 +71,161 @@ import numpy as np
 from ..rand import Stream
 
 _BATCH_KEYS = 1 << 16  # sort keys (node rows x features) per batch
+_FIRST_BLOCK = 64      # permutations per tree drawn first; later blocks double
+_LOW32 = (1 << 32) - 1
+# columns of an open node: tree, node id, buffer range, depth, weight and
+# positive weight
+_TREE, _ID, _LO, _HI, _DEPTH, _N, _POS = range(7)
+_BELOW_AT = np.array([[1], [0]])  # the runs below and above a cut
 
 
 def _gini(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    frac = n_pos / n  # n >= 1: a cut leaves rows on both sides
+    frac = n_pos / n  # n >= 1: a cut leaves weight on both sides
     return 2.0 * frac * (1.0 - frac)
 
 
-def _best_splits(sorted_X, code, shift, rows, feats, min_leaf):
+def _dense_rows(n, codes, widths):
+    """(a column of each class, each column's class) for the classes of
+    equal tuples among n columns of the non-negative ints codes[k][j] <
+    2**widths[k], in ascending order of the tuples packed into one int64
+    (renumbered whenever it would overflow)."""
+    key, bits = np.zeros(n, dtype=np.int64), 0
+    for row, width in zip(codes, widths):
+        if bits + width > 62:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            bits = int(key.max(initial=0)).bit_length()
+        key, bits = key << width | row, bits + width
+    order = key.argsort()
+    new = np.ones(n, dtype=bool)
+    np.not_equal(key.take(order[1:]), key.take(order[:-1]), out=new[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
+class _Coded:
+    """A fit's distinct rows: rank tables, values, and each tree's rows."""
+
+    def __init__(self, X, y, roots):
+        n, F = X.shape
+        values, ranks = [], []
+        for col, ordered in zip(X.T, np.sort(X, axis=0).T):
+            new = np.ones(n, dtype=bool)
+            np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+            values.append(ordered[new])
+            ranks.append(values[-1].searchsorted(col))
+        first, distinct = _dense_rows(
+            n, ranks + [y], [(v.size - 1).bit_length() for v in values] + [1])
+        self.d = d = first.size
+        ranks, label = np.array(ranks).reshape(F, n)[:, first], y[first]
+        held = []  # per tree: sample size, distinct rows and their weights
+        for r in roots:  # each root sample is dropped once counted
+            w = np.bincount(distinct.take(r), minlength=d)
+            kept = w.nonzero()[0]
+            held.append((r.size, kept.astype(np.int32), w.take(kept).astype(np.int32)))
+        T = len(held)
+        self.wbits = max(int(w.max(initial=0)) for _, _, w in held).bit_length()
+        self.width = width = max(v.size for v in values)
+        self.low = (width - 1).bit_length() + self.wbits + 1
+        # cell (distinct row r, feature f) at f * d + r
+        self.rank = (ranks.reshape(-1) << (self.wbits + 1)).astype(
+            np.int32 if self.low < 32 else np.int64)
+        self.values = np.zeros(F * width)  # feature f's value of rank k at f * width + k
+        for f, v in enumerate(values):
+            self.values[f * width:f * width + v.size] = v
+        self.cols = self.values.take(ranks + np.arange(F)[:, None] * width).reshape(-1)
+        # (weight, positive weight) packed in one int64 for each label and weight
+        word = np.arange(2 << self.wbits)
+        w = word & ((1 << self.wbits) - 1)
+        self.lut = w + ((w * (word >> self.wbits)) << 32)
+        # the flat row buffer: tree t's rows, then tree t + 1's
+        count = np.array([r.size for _, r, _ in held])
+        self.rows = np.concatenate([r for _, r, _ in held]).astype(np.intp)
+        self.lw = np.empty(self.rows.size, dtype=self.rank.dtype)
+        for (_, r, w), end in zip(held, np.cumsum(count).tolist()):
+            self.lw[end - r.size:end] = label.take(r) << self.wbits | w
+        self.roots = np.column_stack((
+            np.arange(T), np.arange(T), np.cumsum(count) - count, np.cumsum(count),
+            np.zeros(T, dtype=np.intp), [size for size, _, _ in held],
+            [w @ label.take(r) for _, r, w in held]))
+
+
+def _best_splits(coded, rows, lw, nodes, feats, min_leaf):
     """(batch positions, features, thresholds) of the nodes that can split;
-    node i holds rows[i] and tries the ascending features feats[i]."""
+    node i is the open node nodes[i], whose distinct rows and
+    label-and-weight words are the next nodes[i, _HI] - nodes[i, _LO] of
+    rows and lw, and it tries the ascending features feats[i]."""
     S, m = feats.shape
-    sizes = np.array([r.size for r in rows])
-    keys = code.take(np.repeat(feats * code.shape[1], sizes, axis=0).ravel()
-                     + np.repeat(np.concatenate(rows), m))
-    keys |= np.repeat((np.arange(S * m) << shift).reshape(S, m), sizes, axis=0).ravel()
-    keys = np.sort(keys.astype(np.int32) if S * m << shift < 2**31 else keys)
-    run, seg = keys >> 1, keys >> shift
-    cut = np.flatnonzero(run[1:] != run[:-1]) + 1
-    cut = cut[seg[cut] == seg[cut - 1]]  # boundaries inside one (node, feature)
-    g = seg[cut]
-    i = g // m
-    start = (np.cumsum(sizes) - sizes)[i] * m + (g % m) * sizes[i]
-    seen = np.concatenate(([0], np.cumsum(keys & 1)))
-    n, n_left, pos_left, pos_total = (a.astype(np.float64) for a in (
-        sizes[i], cut - start, seen[cut] - seen[start],
-        seen[start + sizes[i]] - seen[start]))
+    sizes = nodes[:, _HI] - nodes[:, _LO]
+    low, wbits = coded.low, coded.wbits
+    dtype = np.int32 if S * m << low < 2**31 else np.int64
+    # feature-major: segment j * S + i is node i's rows in its feature j
+    keys = coded.rank.take(np.repeat(feats.T * coded.d, sizes, axis=1)
+                           + rows).astype(dtype, copy=False)
+    keys |= np.repeat((np.arange(S * m, dtype=dtype) << low).reshape(m, S),
+                      sizes, axis=1)
+    keys |= lw.astype(dtype, copy=False)
+    keys = keys.reshape(-1)
+    keys.sort()
+    # runs of one (segment, rank, label) and their weights
+    head = keys >> wbits
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(head[1:], head[:-1], out=new[1:])
+    at = new.nonzero()[0]
+    head = head.take(at)
+    # their (weight, positive weight) packed in one int64, and the running
+    # sums before each run, counted from its segment's start: the sums
+    # grow, so a segment start's own sums are the largest so far
+    w = np.add.reduceat(keys & ((1 << wbits) - 1), at).astype(np.int64)
+    w += (w * (head & 1)) << 32
+    before = np.zeros(at.size, dtype=np.int64)
+    np.cumsum(w[:-1], out=before[1:])
+    seg = head >> (low - wbits)
+    new = np.ones(at.size, dtype=bool)
+    np.not_equal(seg[1:], seg[:-1], out=new[1:])
+    # a cut is a rank change inside one segment
+    cut = (((head[1:] >> 1) != (head[:-1] >> 1)) > new[1:]).nonzero()[0] + 1
+    left = (before - np.maximum.accumulate(before * new)).take(cut)
+    j, i = np.divmod(seg.take(cut), S)
+    n, pos = (nodes[:, c].astype(np.float64).take(i) for c in (_N, _POS))
+    n_left, pos_left = (left & _LOW32).astype(np.float64), (left >> 32).astype(np.float64)
     g_left = _gini(pos_left, n_left)
-    g_right = _gini(pos_total - pos_left, n - n_left)
+    g_right = _gini(pos - pos_left, n - n_left)
     weighted = (n_left * g_left + (n - n_left) * g_right) / n
-    ok = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
-    order = ok[np.lexsort((weighted[ok], i[ok]))]  # stable: first minimum first
-    best = order[np.diff(i[order], prepend=-1) != 0]
-    f = feats[i[best], g[best] % m]
-    rank = (keys[[cut[best] - 1, cut[best]]] & ((1 << shift) - 1)) >> 1
-    return i[best], f, (sorted_X[rank[0], f] + sorted_X[rank[1], f]) / 2.0
+    ok = ((n_left >= min_leaf) & (n - n_left >= min_leaf)).nonzero()[0]
+    # stable, and cuts come in (feature, threshold) order: first minimum first
+    order = ok.take(np.lexsort((weighted.take(ok), i.take(ok))))
+    node = i.take(order)
+    new = np.ones(node.size, dtype=bool)
+    np.not_equal(node[1:], node[:-1], out=new[1:])
+    best = order[new]
+    cut, i, f = cut.take(best), i.take(best), feats[i.take(best), j.take(best)]
+    rank = (head.take(cut - _BELOW_AT) >> 1) & ((1 << (low - wbits - 1)) - 1)
+    value = coded.values.take(rank + f * coded.width)
+    return i, f, (value[0] + value[1]) / 2.0
+
+
+def _partition(coded, at, rows, lw, ends, i, f, thr):
+    """Route the rows, lw found at buffer places at (node k's are items
+    ends[k] to ends[k + 1]) and move each node's lefts before its rights.
+    Node i[k] splits on feature f[k] at thr[k]; the others send every row
+    left. Returns, for nodes i, the rows sent left and their packed
+    (weight, positive weight)."""
+    sizes = ends[1:] - ends[:-1]
+    fs, ts = np.zeros(sizes.size, dtype=np.intp), np.full(sizes.size, np.inf)
+    fs[i], ts[i] = f * coded.d, thr
+    go = (coded.cols.take(np.repeat(fs, sizes) + rows)
+          <= np.repeat(ts, sizes)).astype(np.intp)
+    c = np.zeros(at.size + 1, dtype=np.intp)  # lefts before each row
+    np.cumsum(go, out=c[1:])
+    before = c.take(ends)
+    n_go = before[1:] - before[:-1]
+    before, c = before[:-1], c[1:]
+    to = at + np.repeat(n_go + before, sizes) - c  # the rights' places
+    to += go * (c + np.repeat(at.take(ends[:-1]) - before - 1, sizes) - to)
+    coded.rows[to], coded.lw[to] = rows, lw
+    left = np.add.reduceat(coded.lut.take(lw.astype(np.intp)) * go, ends[:-1])
+    return n_go.take(i), left.take(i)
 
 
 class DecisionTree:
@@ -97,75 +242,98 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             stream: Stream | None = None) -> "DecisionTree":
+        """With max_features, the stream's draws run ahead of the
+        permutations the tree uses."""
         if self.max_features is not None and stream is None:
             raise ValueError("feature subsampling needs a random stream")
         streams = None if self.max_features is None else [stream]
         return self.grow(X, y, [np.arange(X.shape[0])], streams)
 
+    def _tried(self, nodes: np.ndarray) -> np.ndarray:
+        """The nodes that pass the depth, size and purity tests."""
+        n, pos = nodes[:, _N], nodes[:, _POS]
+        return ((nodes[:, _DEPTH] < self.max_depth) & (n >= 2 * self.min_leaf)
+                & (pos > 0) & (pos < n))
+
     def grow(self, X, y, roots, streams=None) -> "DecisionTree":
-        """Grow one tree per root row set; with streams, tree t draws
-        max_features per node from streams[t], else tries every feature."""
-        n, F = X.shape
-        y = y.astype(np.int64)
-        # feature-major: cell (row r, feature f) is item f * n + r of cols and code
-        sorted_X, cols = np.sort(X, axis=0), np.ascontiguousarray(X.T)
-        code = np.array([np.searchsorted(s, x) for s, x in zip(sorted_X.T, cols)],
-                        dtype=np.int64).reshape(F, n) << 1 | y
-        shift = int(code.max(initial=0)).bit_length()
-        roots = [r.astype(np.int32 if n < 2**31 else np.int64) for r in roots]
-        score = [y[r].sum() / max(r.size, 1) for r in roots]  # 0.0 when empty
-        stacks = [[(t, r, 0)] for t, r in enumerate(roots)]
-        splits = []  # per batch: parent ids, features, thresholds, left child ids
+        """Grow one tree per root sample (row indices, repeats allowed) that
+        the iterable roots yields; with streams, tree t draws max_features
+        per node from streams[t], else tries every feature."""
+        coded = _Coded(X, y.astype(np.int64), roots)
+        F, T = X.shape[1], len(coded.roots)
+        rows, lw = coded.rows, coded.lw
+        # per node: feature and left child (-1 for a leaf), threshold and
+        # score; doubled whenever a batch's children do not fit
+        split = np.full((max(1024, 4 * T), 2), -1)
+        value = np.zeros((len(split), 2))
+        value[:T, 1] = coded.roots[:, _POS] / np.maximum(coded.roots[:, _N], 1)
         m = F if streams is None else min(self.max_features, F)
-        while any(stacks):
-            step = []  # (tree, node id, rows, depth, features) per open node
-            for t, stack in enumerate(stacks):
-                while stack:
-                    k, r, depth = stack.pop()
-                    if not (depth >= self.max_depth or r.size < 2 * self.min_leaf
-                            or score[k] in (0.0, 1.0)):
-                        step.append((t, k, r, depth, np.arange(F) if streams is None
-                                     else streams[t].permutation(F)[:m]))
-                        if streams is not None:
-                            break
-            chunks, keys = [], 0  # at most _BATCH_KEYS keys each, or one node
-            for b in step:
-                if not chunks or keys + b[2].size * m > _BATCH_KEYS:
-                    chunks.append([])
-                    keys = 0
-                chunks[-1].append(b)
-                keys += b[2].size * m
-            for batch in chunks:
-                i, f, thr = _best_splits(sorted_X, code, shift, [b[2] for b in batch],
-                                         np.sort([b[4] for b in batch], axis=1),
-                                         self.min_leaf)
+        block = np.zeros((0, T, m), dtype=np.intp)  # step, tree: sorted features
+        open_, kid, steps = coded.roots[self._tried(coded.roots)], T, 0
+        levels = 0  # the depth of the deepest leaf
+        while open_.size:
+            if streams is None:
+                step, rest = open_, open_[:0]
+                feats = np.broadcast_to(np.arange(F), (len(step), F))
+            else:
+                # a tree is open from step 0 until its stack runs out, so in
+                # step k each open tree tries its node k of preorder
+                if steps == len(block):
+                    more = max(_FIRST_BLOCK, steps)
+                    block = np.concatenate((block, np.stack([np.sort(
+                        s.permutations(more, F)[:, :m], axis=1) for s in streams], axis=1)))
+                top = np.ones(len(open_), dtype=bool)  # the last row of each tree
+                np.not_equal(open_[1:, _TREE], open_[:-1, _TREE], out=top[:-1])
+                step, rest = open_[top], open_[~top]
+                feats = block[steps].take(step[:, _TREE], axis=0)
+                steps += 1
+            sizes = step[:, _HI] - step[:, _LO]
+            total = np.cumsum(sizes * m)  # keys up to each node
+            kids, lo = [rest], 0
+            while lo < len(step):  # batches of at most _BATCH_KEYS keys, or one node
+                hi = max(lo + 1, int(np.searchsorted(
+                    total, (total[lo - 1] if lo else 0) + _BATCH_KEYS, "right")))
+                batch, sz = step[lo:hi], sizes[lo:hi]
+                ends = np.zeros(hi - lo + 1, dtype=np.intp)
+                np.cumsum(sz, out=ends[1:])
+                at = np.repeat(batch[:, _LO] - ends[:-1], sz) + np.arange(ends[-1])
+                r, w = rows.take(at), lw.take(at)
+                i, f, thr = _best_splits(coded, r, w, batch, feats[lo:hi], self.min_leaf)
+                lo = hi
                 if not i.size:
                     continue
-                batch, K, kid = [batch[j] for j in i], i.size, len(score)
-                sizes = np.array([b[2].size for b in batch])
-                cat = np.concatenate([b[2] for b in batch])
-                go = cols.take(np.repeat(f * n, sizes) + cat) <= np.repeat(thr, sizes)
-                counts = np.stack((go, y[cat] & go, y[cat]))
-                n_left, pos_left, pos = np.add.reduceat(
-                    counts, np.cumsum(sizes) - sizes, axis=1)
-                n_kid = np.concatenate((n_left, sizes - n_left))
-                pos_kid = np.concatenate((pos_left, pos - pos_left))
-                score += (pos_kid / np.maximum(n_kid, 1)).tolist()  # 0.0 when empty
-                splits.append(([b[1] for b in batch], f, thr, kid + np.arange(K)))
-                routed = np.concatenate((cat[go], cat[~go]))  # lefts, then rights
-                edges = np.concatenate(([0], np.cumsum(n_kid))).tolist()
-                for j, (t, _, _, depth, _) in enumerate(batch):
-                    for c in (K + j, j):  # the left child is popped next
-                        # a copy, so a waiting node does not pin the whole buffer
-                        rows = routed[edges[c]:edges[c + 1]].copy()
-                        stacks[t].append((kid + c, rows, depth + 1))
-        self.score = np.array(score)
-        self.feature, self.threshold = np.full(len(score), -1), np.zeros(len(score))
-        self.left, self.right = np.arange(len(score)), np.arange(len(score))
-        for ks, f, thr, kids in splits:
-            self.feature[ks], self.threshold[ks] = f, thr
-            self.left[ks], self.right[ks] = kids, kids + kids.size
-        self.n_features, self.n_trees = F, len(roots)
+                n_go, left = _partition(coded, at, r, w, ends, i, f, thr)
+                parent, K = batch[i], i.size
+                levels = max(levels, int(parent[:, _DEPTH].max()) + 1)
+                child = np.repeat(parent, 2, axis=0)  # each parent's right, then left
+                child[:, _ID] = kid + np.arange(2 * K)
+                child[0::2, _LO] = child[1::2, _HI] = parent[:, _LO] + n_go
+                child[:, _DEPTH] += 1
+                child[1::2, _N], child[1::2, _POS] = left & _LOW32, left >> 32
+                child[0::2, _N] -= child[1::2, _N]
+                child[0::2, _POS] -= child[1::2, _POS]
+                if kid + 2 * K > len(split):  # at least double
+                    more = max(len(split), kid + 2 * K - len(split))
+                    split = np.concatenate((split, np.full((more, 2), -1)))
+                    value = np.concatenate((value, np.zeros((more, 2))))
+                split[parent[:, _ID], 0], split[parent[:, _ID], 1] = f, child[1::2, _ID]
+                value[parent[:, _ID], 0] = thr
+                value[kid:kid + 2 * K, 1] = child[:, _POS] / np.maximum(child[:, _N], 1)
+                kid += 2 * K
+                kids.append(child[self._tried(child)])
+            open_ = np.concatenate(kids)
+            if streams is not None:  # the left child tops its tree's stack
+                open_ = open_[np.argsort(open_[:, _TREE], kind="stable")]
+        self.feature, self.threshold = split[:kid, 0].copy(), value[:kid, 0].copy()
+        self.score, leaf = value[:kid, 1].copy(), self.feature < 0
+        self.left = np.where(leaf, np.arange(kid), split[:kid, 1])
+        self.right = np.where(leaf, self.left, self.left - 1)
+        # what routing reads: no row is <= NaN, so a leaf keeps every row
+        self._read, self._cut = np.maximum(self.feature, 0), np.where(leaf, np.nan, self.threshold)
+        # each split feature's thresholds, for leaf_scores
+        self._cuts = [(f, np.unique(self.threshold[self.feature == f]))
+                      for f in np.unique(self.feature[self.feature >= 0]).tolist()]
+        self.n_features, self.n_trees, self.levels = F, T, levels
         return self
 
     def leaf_scores(self, X: np.ndarray) -> np.ndarray:
@@ -174,16 +342,22 @@ class DecisionTree:
             raise RuntimeError("not fitted")
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty((self.n_trees, X.shape[0]))
+        # rows that lie between the same two thresholds of every feature
+        # reach the same leaves: route one row of each such class
+        first, inverse = _dense_rows(
+            X.shape[0], [cuts.searchsorted(X[:, f]) for f, cuts in self._cuts],
+            [cuts.size.bit_length() for _, cuts in self._cuts])
+        queries = X.take(first, axis=0).reshape(-1)
+        out = np.empty((self.n_trees, first.size))
         step = max(1, _BATCH_KEYS // self.n_trees)
-        for lo in range(0, X.shape[0], step):
-            rows = np.arange(lo, min(lo + step, X.shape[0]))
-            node = np.repeat(np.arange(self.n_trees)[:, None], rows.size, axis=1)
-            while (f := self.feature[node]).max(initial=-1) >= 0:
-                node = np.where(X[rows, f] <= self.threshold[node],
-                                self.left[node], self.right[node])
-            out[:, rows] = self.score[node]
-        return out
+        for lo in range(0, first.size, step):
+            at = np.arange(lo, min(lo + step, first.size)) * self.n_features
+            node = np.arange(self.n_trees)[:, None]
+            for _ in range(self.levels):  # a left child is its right sibling + 1
+                node = self.right.take(node) + (
+                    queries.take(self._read.take(node) + at) <= self._cut.take(node))
+            out[:, lo:lo + step] = self.score.take(node)
+        return out.take(inverse, axis=1)
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return self.leaf_scores(X)[0]
@@ -202,7 +376,7 @@ class RandomForest:
         n = X.shape[0]
         streams = [stream.child("tree", t) for t in range(self.n_estimators)]
         self.trees.max_features = max(1, int(np.sqrt(X.shape[1])))
-        self.trees.grow(X, y, [s.choice_indices(n, n) for s in streams], streams)
+        self.trees.grow(X, y, (s.choice_indices(n, n) for s in streams), streams)
         return self
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:

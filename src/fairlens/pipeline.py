@@ -354,20 +354,28 @@ def _search_job(payload):
 def _search_all(jobs: list, n_jobs: int) -> tuple[dict, dict]:
     """Search outcomes by (seed, kind), and the error for each one lost.
 
-    A worker that dies breaks the pool: the searches it had not finished
-    are lost, and the ones that finished are kept.
+    A worker that dies breaks the pool, and with it every search not yet
+    finished. Each of those runs once more, alone in a fresh one-worker
+    pool, so a search is lost only when it takes down its own worker; which
+    searches are lost then does not depend on timing.
     """
     if n_jobs == 1 or len(jobs) < 2:
         return {(seed, kind): outcome
                 for _, seed, kind, outcome in map(_search_job, jobs)}, {}
-    outcomes, lost = {}, {}
+    outcomes, broken, lost = {}, [], {}
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [pool.submit(_search_job, job) for job in jobs]
-        for (_, seed, kind, _, _), future in zip(jobs, futures):
+        for job, future in zip(jobs, futures):
             try:
-                outcomes[(seed, kind)] = future.result()[3]
+                outcomes[(job[1], job[2])] = future.result()[3]
+            except BrokenProcessPool:
+                broken.append(job)
+    for job in broken:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                outcomes[(job[1], job[2])] = pool.submit(_search_job, job).result()[3]
             except BrokenProcessPool as exc:
-                lost[(seed, kind)] = exc
+                lost[(job[1], job[2])] = exc
     return outcomes, lost
 
 

@@ -109,6 +109,11 @@ class Stream:
         """Fast random permutation of range(n): stable argsort of raw keys."""
         return np.argsort(self.raw(n), kind="stable")
 
+    def permutations(self, count: int, n: int) -> np.ndarray:
+        """count successive permutation(n) draws, one per row, from one
+        raw draw and one row-wise stable argsort."""
+        return np.argsort(self.raw(count * n).reshape(count, n), axis=1, kind="stable")
+
     def choice_indices(self, n_draws: int, upper: int) -> np.ndarray:
         """n_draws integers in [0, upper), vectorized (floor of uniforms)."""
         u = (self.raw(n_draws) >> np.uint64(11)).astype(np.float64) * 2.0**-53

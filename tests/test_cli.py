@@ -427,6 +427,39 @@ def test_dead_worker_fails_its_search_not_the_run(tmp_path, monkeypatch,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched search")
+def test_dead_worker_fails_only_its_own_kind(tmp_path, monkeypatch, capsys):
+    from fairlens import pipeline
+
+    real_search = pipeline.search_kind
+
+    def dying_search(kind, draws, folds, base_ids):
+        if kind == "nb":
+            os._exit(1)  # breaks the pool under every search still pending
+        return real_search(kind, draws, folds, base_ids=base_ids)
+
+    monkeypatch.setattr(pipeline, "search_kind", dying_search)
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=300, seed=9)
+    spec = write_spec(tmp_path, "t.csv", name="dead")
+    bundles = []
+    for run in range(3):
+        out = tmp_path / f"out{run}"
+        assert main(["run", "--datasets", str(spec), "--seeds", "2",
+                     "--folds", "3", "--search-draws", "1",
+                     "--models", "logit,nb", "--jobs", "2",
+                     "--out", str(out)]) == 1
+        failures = json.loads((out / "failures.json").read_text())["failures"]
+        assert sorted((f["seed"], f["stage"], f["error"][:4]) for f in failures) == [
+            (0, "search", "nb: "), (1, "search", "nb: ")]
+        bundle = load_bundle(out / "bundle.json")
+        assert [(t["seed"], t["kind"]) for t in bundle["training"]] == [
+            (0, "logit"), (1, "logit")]
+        bundles.append((out / "bundle.json").read_bytes())
+    assert bundles[0] == bundles[1] == bundles[2]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -- audit mode --------------------------------------------------------------
 
 def write_predictions(path: Path, rows):

@@ -785,6 +785,8 @@ def test_tree_bits_match_recursive_oracle(data, max_depth, min_leaf):
                          [(12, 30, 1), (8, 12, 4), (5, 5, 10)])
 def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
                                                  max_depth, min_leaf):
+    from fairlens.models import trees
+
     rng = np.random.default_rng(41)
     X, y = data(rng, 400)
     draws = {}
@@ -798,12 +800,32 @@ def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
     monkeypatch.setattr(Stream, "permutation", recording)
     roots = oracle_forest(X, y, n_trees, max_depth, min_leaf, Stream("rf-o", 1))
     oracle_draws, draws = draws, {}
+    # the forest draws its permutations in blocks, and uses one per node
+    # it scores, in the order of its _best_splits calls
+    real_block, real_search, used = Stream.permutations, trees._best_splits, {}
+
+    def recording_block(self, count, n):
+        out = real_block(self, count, n)
+        draws.setdefault(self.ids, []).extend(out)
+        return out
+
+    def counting(coded, rows, lw, nodes, feats, min_leaf):
+        for t in nodes[:, trees._TREE].tolist():
+            used[t] = used.get(t, 0) + 1
+        return real_search(coded, rows, lw, nodes, feats, min_leaf)
+
+    monkeypatch.setattr(Stream, "permutations", recording_block)
+    monkeypatch.setattr(trees, "_best_splits", counting)
     forest = RandomForest(n_trees, max_depth, min_leaf).fit(X, y, Stream("rf-o", 1))
-    # each tree draws its split features in the oracle's preorder
-    assert draws.keys() == oracle_draws.keys()
-    for ids, seq in oracle_draws.items():
-        assert len(draws[ids]) == len(seq)
-        assert all(np.array_equal(a, b) for a, b in zip(draws[ids], seq))
+    # each tree uses its split features in the oracle's preorder; the
+    # permutations it drew ahead and never used are not compared
+    assert oracle_draws
+    for t in range(n_trees):
+        ids = Stream("rf-o", 1).child("tree", t).ids
+        seq = oracle_draws.get(ids, [])
+        assert used.get(t, 0) == len(seq) <= len(draws.get(ids, []))
+        assert all(np.array_equal(a.astype(np.int64), b.astype(np.int64))
+                   for a, b in zip(draws.get(ids, [])[:len(seq)], seq))
     for t, root in enumerate(roots):
         assert_tree_matches(forest.trees, t, root)
     test = np.vstack([X, data(rng, 100)[0]])
@@ -867,9 +889,9 @@ def test_forest_first_step_spans_several_batches(monkeypatch):
     batches = []
     real = trees._best_splits
 
-    def recording(sorted_X, code, shift, rows, feats, min_leaf):
-        batches.append(sum(r.size for r in rows) * feats.shape[1])
-        return real(sorted_X, code, shift, rows, feats, min_leaf)
+    def recording(coded, rows, lw, nodes, feats, min_leaf):
+        batches.append(rows.size * feats.shape[1])
+        return real(coded, rows, lw, nodes, feats, min_leaf)
 
     monkeypatch.setattr(trees, "_best_splits", recording)
     rng = np.random.default_rng(45)
@@ -881,6 +903,93 @@ def test_forest_first_step_spans_several_batches(monkeypatch):
     assert max(batches) <= 2 * trees._BATCH_KEYS
     for t, root in enumerate(roots):
         assert_tree_matches(forest.trees, t, root)
+
+
+# Weighted distinct rows: a fit keeps each distinct (x, y) row once, weighted
+# by its count, and every count is a weight sum.
+
+def test_tree_feature_vector_with_both_labels():
+    rng = np.random.default_rng(46)
+    X = np.repeat(rng.integers(0, 4, size=(12, 2)).astype(float), 5, axis=0)
+    y = rng.integers(0, 2, size=60)  # equal rows mostly carry both labels
+    for max_depth, min_leaf in [(8, 1), (8, 3)]:
+        tree = DecisionTree(max_depth, min_leaf).fit(X, y)
+        root = oracle_build(X, y, 0, max_depth, min_leaf)
+        assert_tree_matches(tree, 0, root)
+        assert same_bits(tree.predict_scores(X), oracle_scores(root, X))
+    roots = oracle_forest(X, y, 6, 8, 2, Stream("both", 0))
+    forest = RandomForest(6, 8, 2).fit(X, y, Stream("both", 0))
+    for t, root in enumerate(roots):
+        assert_tree_matches(forest.trees, t, root)
+
+
+@pytest.mark.parametrize("copies, splits", [(3, True), (2, False)])
+def test_tree_min_leaf_is_a_weight(copies, splits):
+    # the two rows left of the cut between 1 and 2 each repeat `copies`
+    # times: weight 6 meets min_leaf 5 with only two distinct rows, weight
+    # 4 misses it
+    X = np.array([[0.0]] * copies + [[1.0]] * copies + [[v] for v in range(2, 7)])
+    y = np.array([0] * 2 * copies + [1] * 5)
+    tree = DecisionTree(max_depth=4, min_leaf=5).fit(X, y)
+    root = oracle_build(X, y, 0, 4, 5)
+    assert_tree_matches(tree, 0, root)
+    assert tree.threshold[0] == (1.5 if splits else 0.0)
+    assert (tree.feature[0] >= 0) == splits
+
+
+def test_forest_heavy_bootstrap_row_needs_int64_keys():
+    from fairlens.models import trees
+
+    # half the rows are one row, so each bootstrap weights it about 20,000
+    rng = np.random.default_rng(47)
+    n = 40000
+    X = np.vstack([np.zeros((n // 2, 2)), rng.normal(size=(n // 2, 2))])
+    y = np.concatenate([np.zeros(n // 2, dtype=int),
+                        (X[n // 2:, 0] > 0).astype(int)])
+    streams = [Stream("heavy").child("tree", t) for t in range(3)]
+    coded = trees._Coded(X, y.astype(np.int64), [s.choice_indices(n, n) for s in streams])
+    assert 3 << coded.low >= 2**31  # the first step's keys are int64
+    roots = oracle_forest(X, y, 3, 4, 2, Stream("heavy"))
+    forest = RandomForest(3, 4, 2).fit(X, y, Stream("heavy"))
+    for t, root in enumerate(roots):
+        assert_tree_matches(forest.trees, t, root)
+
+
+def test_tree_and_forest_on_all_distinct_rows():
+    from fairlens.models import trees
+
+    rng = np.random.default_rng(48)
+    X, y = continuous(rng, 300)
+    assert trees._Coded(X, y, [np.arange(300)]).d == 300
+    tree = DecisionTree(12, 2).fit(X, y)
+    assert_tree_matches(tree, 0, oracle_build(X, y, 0, 12, 2))
+    roots = oracle_forest(X, y, 7, 10, 2, Stream("distinct", 0))
+    forest = RandomForest(7, 10, 2).fit(X, y, Stream("distinct", 0))
+    for t, root in enumerate(roots):
+        assert_tree_matches(forest.trees, t, root)
+
+
+def test_forest_draws_features_in_blocks(monkeypatch):
+    from fairlens.models import trees
+
+    calls, nodes = [0], [0]
+    real_raw, real_search = Stream.raw, trees._best_splits
+
+    def counting_raw(self, n):
+        calls[0] += 1
+        return real_raw(self, n)
+
+    def counting_search(coded, rows, lw, batch, feats, min_leaf):
+        nodes[0] += len(batch)
+        return real_search(coded, rows, lw, batch, feats, min_leaf)
+
+    monkeypatch.setattr(Stream, "raw", counting_raw)
+    monkeypatch.setattr(trees, "_best_splits", counting_search)
+    X, y = standin_like(np.random.default_rng(49), 4200)
+    RandomForest(43, 14, 6).fit(X, y, Stream("blocks", 0))
+    # one bootstrap and a few doubling blocks per tree, not one per node
+    assert nodes[0] > 20 * 43
+    assert calls[0] <= 5 * 43
 
 
 # ------------------------------------------------------------------------- nb

@@ -79,6 +79,37 @@ def test_permutation_covers_range():
     assert sorted(p.tolist()) == list(range(64))
 
 
+def _fresh(prefix):
+    """Stream("blk"), after an optional first draw."""
+    s = Stream("blk")
+    if prefix == "raw":
+        s.raw(5)
+    elif prefix == "randbelow":
+        s.randbelow(7)  # fills the 64-word buffer of _next_word
+        assert len(s._buf) == 63
+    return s
+
+
+@pytest.mark.parametrize("prefix", ["none", "raw", "randbelow"])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 17])
+@pytest.mark.parametrize("count", [1, 7, 64, 200])
+def test_permutations_equal_successive_permutation_calls(prefix, n, count):
+    block = _fresh(prefix).permutations(count, n)
+    one = _fresh(prefix)
+    rows = [one.permutation(n) for _ in range(count)]
+    assert block.shape == (count, n)
+    assert np.array_equal(block.astype(np.int64).view(np.int64),
+                          np.array(rows).astype(np.int64).view(np.int64))
+
+
+def test_permutations_continue_the_stream():
+    a, b = Stream("blk", 1), Stream("blk", 1)
+    a.permutations(3, 5)
+    for _ in range(3):
+        b.permutation(5)
+    assert np.array_equal(a.raw(4), b.raw(4))
+
+
 def test_choice_indices_in_range():
     idx = Stream("ci").choice_indices(1000, 17)
     assert idx.min() >= 0 and idx.max() < 17
