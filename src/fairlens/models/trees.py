@@ -58,19 +58,21 @@ per node would make, so every tree uses the same features as when grown
 alone; the unused rest of its last block is never read.
 
 Fitted nodes are flat arrays; a leaf has feature -1 and is its own child,
-and a left child's id is its right sibling's + 1. Prediction routes one row
-of each class of query rows that lie between the same two thresholds of
-every feature (such rows reach the same leaves), for all trees of a forest
-one level per gather, and copies each score to the rows of its class.
+and a left child's id is its right sibling's + 1. Prediction routes the
+rows through all trees of a forest one level per gather; a leaf's routing
+threshold is NaN, which no row is <= of, so a leaf keeps its rows.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from ..rand import Stream
 
 _BATCH_KEYS = 1 << 16  # sort keys (node rows x features) per batch
+_ROUTE_KEYS = 1 << 14  # (tree, row) pairs routed per batch in leaf_scores
 _FIRST_BLOCK = 64      # permutations per tree drawn first; later blocks double
 _LOW32 = (1 << 32) - 1
 # columns of an open node: tree, node id, buffer range, depth, weight and
@@ -134,10 +136,6 @@ class _Coded:
         for f, v in enumerate(values):
             self.values[f * width:f * width + v.size] = v
         self.cols = self.values.take(ranks + np.arange(F)[:, None] * width).reshape(-1)
-        # (weight, positive weight) packed in one int64 for each label and weight
-        word = np.arange(2 << self.wbits)
-        w = word & ((1 << self.wbits) - 1)
-        self.lut = w + ((w * (word >> self.wbits)) << 32)
         # the flat row buffer: tree t's rows, then tree t + 1's
         count = np.array([r.size for _, r, _ in held])
         self.rows = np.concatenate([r for _, r, _ in held]).astype(np.intp)
@@ -224,7 +222,8 @@ def _partition(coded, at, rows, lw, ends, i, f, thr):
     to = at + np.repeat(n_go + before, sizes) - c  # the rights' places
     to += go * (c + np.repeat(at.take(ends[:-1]) - before - 1, sizes) - to)
     coded.rows[to], coded.lw[to] = rows, lw
-    left = np.add.reduceat(coded.lut.take(lw.astype(np.intp)) * go, ends[:-1])
+    w = (lw & ((1 << coded.wbits) - 1)) * go  # the lefts' (weight, positive weight)
+    left = np.add.reduceat(w + ((w * (lw >> coded.wbits)) << 32), ends[:-1])
     return n_go.take(i), left.take(i)
 
 
@@ -242,12 +241,16 @@ class DecisionTree:
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             stream: Stream | None = None) -> "DecisionTree":
-        """With max_features, the stream's draws run ahead of the
-        permutations the tree uses."""
-        if self.max_features is not None and stream is None:
+        """With max_features, draws one permutation of the stream per node
+        it tries, in depth-first preorder."""
+        if self.max_features is None:
+            return self.grow(X, y, [np.arange(X.shape[0])])
+        if stream is None:
             raise ValueError("feature subsampling needs a random stream")
-        streams = None if self.max_features is None else [stream]
-        return self.grow(X, y, [np.arange(X.shape[0])], streams)
+        # the blocks run ahead on a copy; the stream moves past the used ones
+        self.grow(X, y, [np.arange(X.shape[0])], [copy.deepcopy(stream)])
+        stream.raw(self.steps * X.shape[1])
+        return self
 
     def _tried(self, nodes: np.ndarray) -> np.ndarray:
         """The nodes that pass the depth, size and purity tests."""
@@ -330,10 +333,8 @@ class DecisionTree:
         self.right = np.where(leaf, self.left, self.left - 1)
         # what routing reads: no row is <= NaN, so a leaf keeps every row
         self._read, self._cut = np.maximum(self.feature, 0), np.where(leaf, np.nan, self.threshold)
-        # each split feature's thresholds, for leaf_scores
-        self._cuts = [(f, np.unique(self.threshold[self.feature == f]))
-                      for f in np.unique(self.feature[self.feature >= 0]).tolist()]
         self.n_features, self.n_trees, self.levels = F, T, levels
+        self.steps = steps  # with streams: the most permutations a tree used
         return self
 
     def leaf_scores(self, X: np.ndarray) -> np.ndarray:
@@ -342,22 +343,17 @@ class DecisionTree:
             raise RuntimeError("not fitted")
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
-        # rows that lie between the same two thresholds of every feature
-        # reach the same leaves: route one row of each such class
-        first, inverse = _dense_rows(
-            X.shape[0], [cuts.searchsorted(X[:, f]) for f, cuts in self._cuts],
-            [cuts.size.bit_length() for _, cuts in self._cuts])
-        queries = X.take(first, axis=0).reshape(-1)
-        out = np.empty((self.n_trees, first.size))
-        step = max(1, _BATCH_KEYS // self.n_trees)
-        for lo in range(0, first.size, step):
-            at = np.arange(lo, min(lo + step, first.size)) * self.n_features
+        queries = X.reshape(-1)
+        out = np.empty((self.n_trees, X.shape[0]))
+        step = max(1, _ROUTE_KEYS // self.n_trees)
+        for lo in range(0, X.shape[0], step):
+            at = np.arange(lo, min(lo + step, X.shape[0])) * self.n_features
             node = np.arange(self.n_trees)[:, None]
             for _ in range(self.levels):  # a left child is its right sibling + 1
                 node = self.right.take(node) + (
                     queries.take(self._read.take(node) + at) <= self._cut.take(node))
             out[:, lo:lo + step] = self.score.take(node)
-        return out.take(inverse, axis=1)
+        return out
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         return self.leaf_scores(X)[0]

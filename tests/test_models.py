@@ -833,6 +833,19 @@ def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
     assert same_bits(forest.predict_scores(test), votes / n_trees)
 
 
+def test_tree_fit_moves_the_stream_past_the_permutations_it_used():
+    # the tree draws its permutations in blocks, but leaves its stream where
+    # one permutation per tried node would
+    rng = np.random.default_rng(47)
+    X, y = standin_like(rng, 300)
+    for max_depth, min_leaf in [(12, 1), (4, 5), (1, 1)]:
+        ours, theirs = Stream("tree-draws", max_depth), Stream("tree-draws", max_depth)
+        tree = DecisionTree(max_depth, min_leaf, max_features=2).fit(X, y, ours)
+        root = oracle_build(X, y, 0, max_depth, min_leaf, 2, theirs)
+        assert_tree_matches(tree, 0, root)
+        assert np.array_equal(ours.raw(8), theirs.raw(8))
+
+
 def test_tree_ties_across_features_keep_the_first_feature():
     # columns 0 and 2 are equal and column 1 mirrors them, so every split
     # ties exactly across features
@@ -890,17 +903,21 @@ def test_forest_first_step_spans_several_batches(monkeypatch):
     real = trees._best_splits
 
     def recording(coded, rows, lw, nodes, feats, min_leaf):
-        batches.append(rows.size * feats.shape[1])
+        batches.append((nodes[:, trees._ID].tolist(), rows.size * feats.shape[1]))
         return real(coded, rows, lw, nodes, feats, min_leaf)
 
     monkeypatch.setattr(trees, "_best_splits", recording)
     rng = np.random.default_rng(45)
-    X, y = continuous(rng, 3000)  # 5 features, 2 per split: 6000 keys a root
+    # 5 features, 2 per split: a root of about 1,900 distinct rows (of a
+    # 3000-row bootstrap) holds about 3,800 keys, so the 20 roots hold
+    # about 76,000, more than one batch may
+    X, y = continuous(rng, 3000)
     roots = oracle_forest(X, y, 20, 6, 3, Stream("rf-cap", 0))
     forest = RandomForest(20, 6, 3).fit(X, y, Stream("rf-cap", 0))
-    # the 20 roots hold 120,000 keys, more than one batch may
-    assert batches[0] < 20 * 6000 and sum(batches[:2]) <= 20 * 6000
-    assert max(batches) <= 2 * trees._BATCH_KEYS
+    first = [(ids, keys) for ids, keys in batches if max(ids) < 20]  # roots only
+    assert sorted(i for ids, _ in first for i in ids) == list(range(20))
+    assert sum(keys for _, keys in first) > trees._BATCH_KEYS and len(first) >= 2
+    assert all(keys <= trees._BATCH_KEYS or len(ids) == 1 for ids, keys in batches)
     for t, root in enumerate(roots):
         assert_tree_matches(forest.trees, t, root)
 
