@@ -53,17 +53,6 @@ class MetricsMatrix:
     column_variances: np.ndarray  # J
     provenance: Provenance
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def groups(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for r in self.rows:
-            if r.group not in seen:
-                seen.append(r.group)
-        return tuple(seen)
-
     def row_index(self, model: str, group: str) -> int:
         for i, r in enumerate(self.rows):
             if r.model == model and r.group == group:

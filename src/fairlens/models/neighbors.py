@@ -6,10 +6,18 @@ boundary row contributes its share of the remaining slots), which makes
 predictions invariant under any permutation of the training data even when
 encoded rows collide.
 
+A distance is the sum over the features, in feature order, of the terms
+d (manhattan), d * d (euclidean) or d * d * d (minkowski), where d is
+|q - v| for query value q and training value v. No root is taken: the root is monotone, so the sums rank the
+neighbors as the distances would, and only order and ties at the k-th
+distance enter the score. Every operation is an elementwise IEEE
+subtract, abs, multiply or add, so the bits do not depend on the CPU or on
+numpy's SIMD level.
+
 Encoded features are mostly discrete, so training rows, query rows and the
 values of each feature repeat. Scoring works on distinct rows and values
 and gives the same bits as comparing every query row with every training
-row and summing each pair's terms with np.sum over the features:
+row:
 
 - Training rows are kept once each, with their count and positive count.
   Equal rows have equal distances to any query, and the neighbor sums
@@ -19,27 +27,19 @@ row and summing each pair's terms with np.sum over the features:
   distance whose cumulative count reaches k.
 - Each distinct query row is scored once and its score copied to every
   row equal to it.
-- For a block of query rows, the per-feature terms d = |q - v|, d * d or
-  np.power(d, 3) (the ufunc call d ** 3 makes) are computed once per
-  distinct feature value v, into a value-major (distinct values, block)
-  table. Each feature's terms for every distinct training row are then
-  one row gather from that table, a (distinct rows, block) slab, and the
-  slabs are added in place in the order numpy's pairwise summation adds
-  a contiguous row of F values (_pairwise_sum). Every term comes from the
-  same operands and operations as when each pair of rows is compared,
-  and every sum adds them in the same order, so each distance keeps its
-  bits. sqrt and cbrt then run on the contiguous sums, as before. The
-  cube stays np.power: d * d * d rounds differently.
+- For a block of query rows, the terms are computed once per distinct
+  feature value v, into a value-major (distinct values, block) table.
+  Each feature's terms for every distinct training row are then one row
+  gather from that table, a (distinct rows, block) slab, added in place
+  into the running sum.
 
-The table and the slabs are allocated once per call, and a smaller last
-block uses the head of the same buffers. Up to 128 features the sum needs
-at most five slabs, so memory is O(block x (distinct values + distinct
-training rows)) however many query rows and features there are.
+The table and the two slabs (the sum and the gathered terms) are
+allocated once per call, and a smaller last block uses the head of the
+same buffers, so memory is O(block x (distinct values + distinct training
+rows)) however many query rows and features there are.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -49,82 +49,18 @@ from .base import KNN_METRICS
 # small enough for the cache even with no repeated rows
 _BLOCK = 32
 
-# numpy's pairwise summation: below 8 terms it adds in order, up to this
-# many it runs 8 interleaved accumulators, above it splits in two
-_PW_BLOCKSIZE = 128
 
-
-def _sum_depth(n: int) -> int:
-    """Slabs _pairwise_sum needs for n terms."""
-    if n < 8:
-        return min(n, 2)
-    if n <= _PW_BLOCKSIZE:
-        # four for the accumulator tree, one more to add a lane's later terms
-        return 4 if n < 16 else 5
-    n2 = n // 2 - (n // 2) % 8
-    return max(_sum_depth(n2), 1 + _sum_depth(n - n2))
-
-
-def _pairwise_sum(term: Callable[[int, np.ndarray], object], n: int,
-                  slabs: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Sum terms lo .. lo + n - 1 into slabs[0], in numpy's order.
-
-    term(i, out) writes term i into out. The additions are those numpy's
-    pairwise_sum makes for an np.sum over a contiguous axis of length n,
-    so every element gets the same bits; slabs[1:] (_sum_depth(n) slabs
-    in all) is scratch. Accumulator j of the 8-way loop sums terms j,
-    j + 8, j + 16, ... in order, so each is built whole, one after the
-    other, and the tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    holds at most one partial sum per level.
-    """
-    acc = slabs[0]
-    if n > _PW_BLOCKSIZE:
-        n2 = n // 2 - (n // 2) % 8
-        _pairwise_sum(term, n2, slabs, lo)
-        _pairwise_sum(term, n - n2, slabs[1:], lo + n2)
-        acc += slabs[1]
-        return acc
-    if n < 8:
-        term(lo, acc)
-        rest = range(lo + 1, lo + n)
-    else:
-        lanes_end = lo + n - n % 8
-
-        def tree(j: int, width: int, s: int) -> None:
-            if width > 1:
-                tree(j, width // 2, s)
-                tree(j + width // 2, width // 2, s + 1)
-                slabs[s] += slabs[s + 1]
-                return
-            term(lo + j, slabs[s])
-            for i in range(lo + j + 8, lanes_end, 8):
-                term(i, slabs[s + 1])
-                slabs[s] += slabs[s + 1]
-
-        tree(0, 8, 0)
-        rest = range(lanes_end, lo + n)
-    for i in rest:
-        term(i, slabs[1])
-        acc += slabs[1]
-    return acc
-
-
-def _terms(diff: np.ndarray, metric: str) -> None:
-    """Turn absolute differences into per-feature distance terms, in place."""
+def _terms(diff: np.ndarray, metric: str, scratch: np.ndarray) -> None:
+    """Turn absolute differences into per-feature distance terms, in place;
+    the cube goes through scratch, len(scratch) rows at a time."""
     if metric == "euclidean":
         np.multiply(diff, diff, out=diff)
     elif metric == "minkowski":  # exponent 3, distinct from the other two
-        np.power(diff, 3, out=diff)
+        for lo in range(0, len(diff), len(scratch)):
+            d = diff[lo:lo + len(scratch)]
+            np.multiply(d, np.multiply(d, d, out=scratch[:len(d)]), out=d)
     elif metric != "manhattan":
         raise ValueError(f"unknown metric {metric!r}")
-
-
-def _finish(summed: np.ndarray, metric: str) -> None:
-    """Turn summed terms into distances, in place."""
-    if metric == "euclidean":
-        np.sqrt(summed, out=summed)
-    elif metric == "minkowski":
-        np.cbrt(summed, out=summed)
 
 
 class Knn:
@@ -165,24 +101,22 @@ class Knn:
 
     def _distances(self, block: np.ndarray, table: np.ndarray,
                    slabs: np.ndarray) -> np.ndarray:
-        """Distances from each distinct training row to each block row.
+        """Summed terms from each distinct training row to each block row.
 
-        table (distinct values x block) and slabs (_sum_depth(features) x
-        distinct rows x block) are contiguous work space; the result is
-        slabs[0].
+        table (distinct values x block) and slabs (2 x distinct rows x
+        block) are contiguous work space; the result is slabs[0].
         """
         # the indices are in range; mode="clip" lets take write straight
         # into out instead of through a buffer
         np.take(block.T, self._owner, axis=0, out=table, mode="clip")
         np.subtract(table, self._values[:, None], out=table)
         np.abs(table, out=table)
-        _terms(table, self.metric)
-        index = self._index
-        summed = _pairwise_sum(
-            lambda j, out: np.take(table, index[j], axis=0, out=out,
-                                   mode="clip"),
-            index.shape[0], slabs)
-        _finish(summed, self.metric)
+        summed, term = slabs
+        _terms(table, self.metric, term)
+        np.take(table, self._index[0], axis=0, out=summed, mode="clip")
+        for index in self._index[1:]:
+            np.take(table, index, axis=0, out=term, mode="clip")
+            summed += term
         return summed
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
@@ -198,16 +132,15 @@ class Knn:
         # each distinct row counts at least once, so the k-th distance is
         # among the `near` smallest distinct distances
         near = min(k, n_rows)
-        # slabs[1] then takes the query-major copy of the distances
-        depth = max(_sum_depth(self._n_features), 2)
         rows = min(_BLOCK, queries.shape[0])
         table_space = np.empty(n_values * rows)
-        slab_space = np.empty(depth * n_rows * rows)
+        # slabs[1] ends up holding the query-major copy of the sums
+        slab_space = np.empty(2 * n_rows * rows)
         out = np.empty(queries.shape[0])
         for start in range(0, queries.shape[0], _BLOCK):
             block = queries[start:start + _BLOCK]
             b = block.shape[0]
-            slabs = slab_space[:depth * n_rows * b].reshape(depth, n_rows, b)
+            slabs = slab_space[:2 * n_rows * b].reshape(2, n_rows, b)
             summed = self._distances(
                 block, table_space[:n_values * b].reshape(n_values, b), slabs)
             d = slabs[1].reshape(b, n_rows)

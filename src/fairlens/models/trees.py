@@ -46,8 +46,8 @@ lefts first, so children are subranges and no rows are copied per node.
 Open nodes are rows of one integer array (tree, id, range, depth, weight,
 positive weight).
 
-Growth order: a tree that tries every feature scores its whole open
-frontier in each step. A tree that subsamples features uses one
+Growth order: a plain tree tries every feature and scores its whole open
+frontier in each step. A forest tree tries sqrt(F) features and uses one
 permutation of its stream per node in depth-first preorder, so it
 contributes only its next preorder node (the top of its stack) to each
 step. A forest advances all of its trees in lockstep: a tree is open from
@@ -64,8 +64,6 @@ threshold is NaN, which no row is <= of, so a leaf keeps its rows.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -230,27 +228,15 @@ def _partition(coded, at, rows, lw, ends, i, f, thr):
 class DecisionTree:
     """One tree, or a forest's trees grown together (tree t's root is node t)."""
 
-    def __init__(self, max_depth: int, min_leaf: int = 1,
-                 max_features: int | None = None):
+    def __init__(self, max_depth: int, min_leaf: int = 1):
         if max_depth < 1 or min_leaf < 1:
             raise ValueError("max_depth and min_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.max_features = max_features
         self.n_trees = 0
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            stream: Stream | None = None) -> "DecisionTree":
-        """With max_features, draws one permutation of the stream per node
-        it tries, in depth-first preorder."""
-        if self.max_features is None:
-            return self.grow(X, y, [np.arange(X.shape[0])])
-        if stream is None:
-            raise ValueError("feature subsampling needs a random stream")
-        # the blocks run ahead on a copy; the stream moves past the used ones
-        self.grow(X, y, [np.arange(X.shape[0])], [copy.deepcopy(stream)])
-        stream.raw(self.steps * X.shape[1])
-        return self
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
+        return self.grow(X, y, [np.arange(X.shape[0])])
 
     def _tried(self, nodes: np.ndarray) -> np.ndarray:
         """The nodes that pass the depth, size and purity tests."""
@@ -260,8 +246,8 @@ class DecisionTree:
 
     def grow(self, X, y, roots, streams=None) -> "DecisionTree":
         """Grow one tree per root sample (row indices, repeats allowed) that
-        the iterable roots yields; with streams, tree t draws max_features
-        per node from streams[t], else tries every feature."""
+        the iterable roots yields; with streams, tree t draws sqrt(F) of the
+        F features per node from streams[t], else tries every feature."""
         coded = _Coded(X, y.astype(np.int64), roots)
         F, T = X.shape[1], len(coded.roots)
         rows, lw = coded.rows, coded.lw
@@ -270,7 +256,7 @@ class DecisionTree:
         split = np.full((max(1024, 4 * T), 2), -1)
         value = np.zeros((len(split), 2))
         value[:T, 1] = coded.roots[:, _POS] / np.maximum(coded.roots[:, _N], 1)
-        m = F if streams is None else min(self.max_features, F)
+        m = F if streams is None else max(1, int(np.sqrt(F)))
         block = np.zeros((0, T, m), dtype=np.intp)  # step, tree: sorted features
         open_, kid, steps = coded.roots[self._tried(coded.roots)], T, 0
         levels = 0  # the depth of the deepest leaf
@@ -334,7 +320,6 @@ class DecisionTree:
         # what routing reads: no row is <= NaN, so a leaf keeps every row
         self._read, self._cut = np.maximum(self.feature, 0), np.where(leaf, np.nan, self.threshold)
         self.n_features, self.n_trees, self.levels = F, T, levels
-        self.steps = steps  # with streams: the most permutations a tree used
         return self
 
     def leaf_scores(self, X: np.ndarray) -> np.ndarray:
@@ -371,7 +356,6 @@ class RandomForest:
     def fit(self, X: np.ndarray, y: np.ndarray, stream: Stream) -> "RandomForest":
         n = X.shape[0]
         streams = [stream.child("tree", t) for t in range(self.n_estimators)]
-        self.trees.max_features = max(1, int(np.sqrt(X.shape[1])))
         self.trees.grow(X, y, (s.choice_indices(n, n) for s in streams), streams)
         return self
 

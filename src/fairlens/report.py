@@ -23,7 +23,7 @@ import numpy as np
 from jsonschema import ValidationError, validate as _schema_validate
 
 from . import METRIC_NAMES
-from .cluster import DistanceVector, Linkage, leaf_order
+from .cluster import Linkage, leaf_order
 from .fairmatrix import (MetricsMatrix, Provenance, RowKey, kind_sort_key,
                          matrix_csv_text)
 from .ingest import is_path_component
@@ -657,16 +657,6 @@ def matrix_from_record(dataset: str, feature: str, rec: dict) -> MetricsMatrix:
 def linkage_from_record(entries: list) -> Linkage:
     merges = tuple((int(l), int(r), float(h), int(s)) for l, r, h, s in entries)
     return Linkage(merges=merges, n_leaves=len(merges) + 1)
-
-
-def distance_from_record(rec: dict, axis: str) -> DistanceVector:
-    return DistanceVector(
-        axis=axis,
-        condensed=np.asarray(rec["condensed"], dtype=np.float64),
-        labels=tuple(rec["labels"]),
-        degenerate_pairs=tuple((int(i), int(j))
-                               for i, j in rec["degenerate_pairs"]),
-    )
 
 
 def aligned_from_record(pca_rec: dict) -> AlignedProjection:

@@ -1,6 +1,11 @@
 """Classifier-zoo contracts: hyperparameter ranges, per-kind behavior,
 gradient checks against finite differences, and search selection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +22,7 @@ from fairlens.models import (
 )
 from fairlens.models.bayes import GaussianNb
 from fairlens.models.linear import Logit, logit_objective, sigmoid
-from fairlens.models.neighbors import Knn, _pairwise_sum, _sum_depth
+from fairlens.models.neighbors import Knn
 from fairlens.models.nn import LEARNING_RATE, Mlp
 from fairlens.models.search import DrawResult
 from fairlens.models.trees import DecisionTree, RandomForest
@@ -359,12 +364,16 @@ def test_knn_metrics_differ():
 
 
 def _oracle_knn_distances(block, train, metric):
+    """All pairs, each pair's terms added in feature order, with no root."""
     diff = np.abs(block[:, None, :] - train[None, :, :])
     if metric == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=2))
-    if metric == "manhattan":
-        return np.sum(diff, axis=2)
-    return np.cbrt(np.sum(diff ** 3, axis=2))
+        diff = diff * diff
+    elif metric == "minkowski":
+        diff = diff * diff * diff
+    summed = diff[:, :, 0].copy()
+    for j in range(1, diff.shape[2]):
+        summed += diff[:, :, j]
+    return summed
 
 
 def _oracle_knn_scores(X, y, test, n_neighbors, metric):
@@ -399,10 +408,9 @@ def _assert_knn_matches_oracle(X, y, test, ks):
 
 def test_knn_distances_bit_identical():
     # neighbor choices rarely hinge on the last bit of a distance, so the
-    # distances themselves are compared, on data whose cubes and sums round;
-    # the feature counts reach every branch of the pairwise sum
+    # distances themselves are compared, on data whose cubes and sums round
     rng = np.random.default_rng(29)
-    for F in (1, 3, 10, 13, 17, 130):
+    for F in (1, 3, 7, 8, 9, 10, 13, 17, 130):
         X = np.vstack([rng.normal(size=(150, F)),
                        np.round(rng.normal(size=(150, F)), 1)])
         y = rng.integers(0, 2, size=300)
@@ -412,38 +420,50 @@ def test_knn_distances_bit_identical():
             m = Knn(n_neighbors=5, metric=metric).fit(X, y)
             got = m._distances(
                 test, np.empty((m._values.size, len(test))),
-                np.empty((_sum_depth(F), len(rows), len(test)))).T
+                np.empty((2, len(rows), len(test)))).T
             want = _oracle_knn_distances(test, rows, metric)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
                 (F, metric)
 
 
-def _spread_terms(rng, n_terms, n_sums):
-    """Terms whose magnitudes span 16 decades, so the order of adding them
-    shows in the bits of most sums."""
-    return (rng.random((n_terms, n_sums))
-            * 10.0 ** rng.uniform(-8, 8, size=(n_terms, n_sums)))
+# prints, per metric, the sha256 of Knn._distances on fixed normal data
+_DISTANCE_DIGESTS = """
+import hashlib
+import numpy as np
+from fairlens.models import KNN_METRICS
+from fairlens.models.neighbors import Knn
+rng = np.random.default_rng(52)
+X, test = rng.normal(size=(400, 9)), rng.normal(size=(32, 9))
+y = rng.integers(0, 2, size=400)
+for metric in KNN_METRICS:
+    m = Knn(n_neighbors=5, metric=metric).fit(X, y)
+    d = m._distances(test, np.empty((m._values.size, 32)),
+                     np.empty((2, m._counts.size, 32)))
+    print(metric, hashlib.sha256(d.tobytes()).hexdigest())
+"""
 
 
-def _sum_rows(terms, n, lo=0):
-    slabs = np.empty((_sum_depth(n), terms.shape[1]))
-    return _pairwise_sum(lambda i, out: np.copyto(out, terms[i]), n, slabs,
-                         lo).copy()
+def test_knn_distances_do_not_depend_on_numpy_simd_level():
+    # numpy's AVX-512 power and cbrt round differently from its AVX2 and
+    # baseline paths; on a CPU without AVX-512 both runs take one path
+    import fairlens
 
+    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = package_root
 
-@pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 200, 300])
-def test_pairwise_sum_matches_numpy_sum_bits(n):
-    terms = _spread_terms(np.random.default_rng(n), n, 500)
-    want = np.sum(np.ascontiguousarray(terms.T), axis=-1)
-    got = _sum_rows(terms, n)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the tempting order, the first term plus the pairwise sum of the rest,
-    # is numpy's only up to two terms
-    if n > 1:
-        first_plus_rest = terms[0] + _sum_rows(terms, n - 1, lo=1)
-        same = np.array_equal(first_plus_rest.view(np.int64),
-                              want.view(np.int64))
-        assert same == (n == 2)
+    def digests(**extra):
+        done = subprocess.run([sys.executable, "-c", _DISTANCE_DIGESTS],
+                              env={**env, **extra}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    default = digests()
+    assert len(default) == len(KNN_METRICS)
+    assert default == digests(
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 
 
 def test_knn_bit_identical_on_duplicated_grid():
@@ -491,18 +511,6 @@ def test_knn_bit_identical_on_single_class_and_training_queries():
     _assert_knn_matches_oracle(X, y, X, ks=(1, 5, 20, 100))
 
 
-@pytest.mark.parametrize("F", [7, 8, 9, 17])
-def test_knn_bit_identical_at_each_pairwise_sum_branch(F):
-    # in order below 8 features, one term per accumulator at 8 and 9, and
-    # accumulators of two terms from 16
-    rng = np.random.default_rng(35 + F)
-    X = np.vstack([rng.normal(size=(100, F)),
-                   rng.integers(0, 3, size=(100, F)).astype(float)])
-    y = rng.integers(0, 2, size=200)
-    test = np.vstack([rng.normal(size=(30, F)), X[::9]])
-    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20))
-
-
 def test_knn_work_space_is_reused_for_the_last_block():
     import tracemalloc
 
@@ -535,9 +543,9 @@ def test_knn_terms_computed_once_per_distinct_value(monkeypatch):
     shapes = []
     real_terms = neighbors._terms
 
-    def counting_terms(diff, metric):
+    def counting_terms(diff, metric, scratch):
         shapes.append(diff.shape)
-        real_terms(diff, metric)
+        real_terms(diff, metric, scratch)
 
     monkeypatch.setattr(neighbors, "_terms", counting_terms)
     rng = np.random.default_rng(34)
@@ -618,9 +626,8 @@ def test_rf_single_tree_equals_tree_on_its_bootstrap_sample():
     forest.fit(X, y, Stream("rf-eq"))
     child = Stream("rf-eq").child("tree", 0)
     idx = child.choice_indices(n, n)
-    tree = DecisionTree(max_depth=6, min_leaf=2,
-                        max_features=max(1, int(np.sqrt(f))))
-    tree.fit(X[idx], y[idx], stream=child)
+    tree = DecisionTree(max_depth=6, min_leaf=2).grow(
+        X[idx], y[idx], [np.arange(n)], [child])
     test = rng.normal(size=(25, f))
     votes = (tree.predict_scores(test) >= 0.5).astype(float)
     assert (forest.predict_scores(test) == votes).all()
@@ -831,19 +838,6 @@ def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
     test = np.vstack([X, data(rng, 100)[0]])
     votes = sum((oracle_scores(root, test) >= 0.5).astype(float) for root in roots)
     assert same_bits(forest.predict_scores(test), votes / n_trees)
-
-
-def test_tree_fit_moves_the_stream_past_the_permutations_it_used():
-    # the tree draws its permutations in blocks, but leaves its stream where
-    # one permutation per tried node would
-    rng = np.random.default_rng(47)
-    X, y = standin_like(rng, 300)
-    for max_depth, min_leaf in [(12, 1), (4, 5), (1, 1)]:
-        ours, theirs = Stream("tree-draws", max_depth), Stream("tree-draws", max_depth)
-        tree = DecisionTree(max_depth, min_leaf, max_features=2).fit(X, y, ours)
-        root = oracle_build(X, y, 0, max_depth, min_leaf, 2, theirs)
-        assert_tree_matches(tree, 0, root)
-        assert np.array_equal(ours.raw(8), theirs.raw(8))
 
 
 def test_tree_ties_across_features_keep_the_first_feature():

@@ -18,7 +18,7 @@ from fairlens.fairmatrix import Provenance, assemble_matrix
 from fairlens.metrics import MetricVector
 from fairlens.pca import align_to_reference, component_cap, fit_pca, project
 from fairlens.report import (aligned_from_record, bundle_json_text,
-                             distance_from_record, export_bundle, heat_color,
+                             export_bundle, heat_color,
                              linkage_from_record, load_bundle,
                              matrix_from_record, render_clustermap_svg,
                              render_pca_scatter_svg,
@@ -330,9 +330,6 @@ def test_record_rehydration_matches_inputs():
     rec = bundle["datasets"][0]["features"][0]["results"][0]
     link = linkage_from_record(rec["col_linkage"])
     assert link.n_leaves == 13
-    dist = distance_from_record(rec["col_distance"], "columns")
-    assert dist.axis == "columns"
-    assert len(dist.condensed) == 13 * 12 // 2
     aligned = aligned_from_record(rec["pca"])
     assert aligned.reference == "a"
     assert aligned.coords["logit"].shape == (3, 2)
