@@ -426,6 +426,25 @@ def test_knn_distances_bit_identical():
                 (F, metric)
 
 
+def _spread_terms(rng, n_terms, n_sums):
+    """Terms whose magnitudes span 16 decades, so the order of adding them
+    shows in the bits of most sums."""
+    return (rng.random((n_terms, n_sums))
+            * 10.0 ** rng.uniform(-8, 8, size=(n_terms, n_sums)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pairwise_sum_matches_numpy_sum_bits(n):
+    # below 8 terms numpy's pairwise sum is a plain in-order loop, so the
+    # manhattan distance from the zero row to a query row has the bits of
+    # np.sum over that row
+    terms = _spread_terms(np.random.default_rng(n), n, 500)
+    m = Knn(n_neighbors=1, metric="manhattan").fit(np.zeros((1, n)), [0])
+    got = m._distances(terms.T, np.empty((n, 500)), np.empty((2, 1, 500)))[0]
+    want = np.sum(np.ascontiguousarray(terms.T), axis=-1)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # prints, per metric, the sha256 of Knn._distances on fixed normal data
 _DISTANCE_DIGESTS = """
 import hashlib
@@ -509,6 +528,18 @@ def test_knn_bit_identical_on_single_class_and_training_queries():
         _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20, 100))
     y = rng.integers(0, 2, size=60)
     _assert_knn_matches_oracle(X, y, X, ks=(1, 5, 20, 100))
+
+
+@pytest.mark.parametrize("F", [7, 8, 9, 17])
+def test_knn_bit_identical_at_each_pairwise_sum_branch(F):
+    # feature counts around 8, where numpy's pairwise sum leaves its
+    # in-order loop; the scores still follow the in-order oracle
+    rng = np.random.default_rng(35 + F)
+    X = np.vstack([rng.normal(size=(100, F)),
+                   rng.integers(0, 3, size=(100, F)).astype(float)])
+    y = rng.integers(0, 2, size=200)
+    test = np.vstack([rng.normal(size=(30, F)), X[::9]])
+    _assert_knn_matches_oracle(X, y, test, ks=(1, 5, 20))
 
 
 def test_knn_work_space_is_reused_for_the_last_block():
