@@ -132,11 +132,11 @@ def _read_prediction_file(path: str, features: list[str],
                           validation_column: str | None):
     """Read one prediction file: y_true, scores, group codes, validation flags.
 
-    The file is read by ingest.read_columns and each column is coded by
-    ingest.code_column, so each distinct cell is checked and converted
-    once. An error names the first bad row (the header is row 1; blank
-    lines are not counted) and, within it, the first failing column in the
-    order y_true, y_score, features, validation column.
+    ingest.read_columns reads each column already coded, so each distinct
+    cell is checked and converted once. An error names the first bad row
+    (the header is row 1; blank lines are not counted) and, within it, the
+    first failing column in the order y_true, y_score, features,
+    validation column.
 
     Each feature maps to (labels, codes): its sorted distinct labels and,
     per row, the index of the row's label in them.
@@ -148,12 +148,11 @@ def _read_prediction_file(path: str, features: list[str],
         needed.append(validation_column)
         decoders.append(_flag_decoder(validation_column))
     columns = read_columns(path, needed, PredictionFileError)
-    if not columns[0]:
+    if not columns[0][1].size:
         raise PredictionFileError(f"{path}: no data rows")
 
     coded, errors = [], []
-    for k, (cells, decode) in enumerate(zip(columns, decoders)):
-        values, codes = code_column(cells)
+    for k, ((values, codes), decode) in enumerate(zip(columns, decoders)):
         decoded, bad = decode_values(values, codes, decode)
         if bad:
             errors.append((bad[0], k, bad[1]))

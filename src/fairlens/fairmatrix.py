@@ -1,4 +1,4 @@
-"""Metrics-matrix assembly, fold pooling, column variances, fairness ratios.
+"""Metrics-matrix assembly, fold pooling and column variances.
 
 The matrix M_p for protected feature p stacks one 13-entry metric row per
 (model, group) pair: models outer in canonical kind order, groups inner in
@@ -15,8 +15,6 @@ import numpy as np
 
 from . import METRIC_NAMES, MODEL_KINDS
 from .metrics import MetricVector, group_metric_vectors
-
-COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"), ("PPV", "FDR"), ("NPV", "FOR"))
 
 
 def kind_sort_key(kind: str) -> tuple[int, int, str]:
@@ -52,12 +50,6 @@ class MetricsMatrix:
     flags: np.ndarray             # I x J bool
     column_variances: np.ndarray  # J
     provenance: Provenance
-
-    def row_index(self, model: str, group: str) -> int:
-        for i, r in enumerate(self.rows):
-            if r.model == model and r.group == group:
-                return i
-        raise KeyError(f"no row for model {model!r}, group {group!r}")
 
 
 def _column_variances(values: np.ndarray) -> np.ndarray:
@@ -117,24 +109,6 @@ def per_model_matrix(m: MetricsMatrix, model: str) -> MetricsMatrix:
     )
 
 
-def fairness_ratio(m: MetricsMatrix, metric: str, group_g: str, group_h: str,
-                   model: str | None = None) -> float | None:
-    """m_g(j) / m_h(j) for one model's rows; 1.0 signals parity.
-
-    Returns None when the denominator metric is zero (undefined ratio).
-    """
-    if metric not in m.metric_names:
-        raise ValueError(f"unknown metric {metric!r}")
-    if model is None:
-        model = m.rows[0].model
-    j = m.metric_names.index(metric)
-    num = m.values[m.row_index(model, group_g), j]
-    den = m.values[m.row_index(model, group_h), j]
-    if den == 0.0:
-        return None
-    return float(num / den)
-
-
 def aggregate_over_folds(
     fold_scores: list[np.ndarray],
     fold_labels: list[np.ndarray],
@@ -159,17 +133,6 @@ def aggregate_over_folds(
         np.concatenate(fold_scores), np.concatenate(fold_labels),
         np.concatenate(fold_assignments), group_labels, row_thresholds,
         n_total)
-
-
-def check_complement_variances(m: MetricsMatrix, tol: float = 1e-12) -> list[str]:
-    """Names of complement pairs whose column variances differ beyond tol."""
-    bad = []
-    for a, b in COMPLEMENT_PAIRS:
-        va = m.column_variances[m.metric_names.index(a)]
-        vb = m.column_variances[m.metric_names.index(b)]
-        if abs(va - vb) > tol:
-            bad.append(f"{a}/{b}")
-    return bad
 
 
 def matrix_csv_text(m: MetricsMatrix) -> str:

@@ -164,46 +164,232 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
     return spec
 
 
-def read_columns(path: str | Path, names: list[str],
-                 error: type[Exception]) -> list[list[str]]:
-    """The cells of the named columns of a CSV file, one list per name.
+def read_columns(path: str | Path, names: list[str], error: type[Exception]
+                 ) -> list[tuple[list[str], np.ndarray]]:
+    """The named columns of a CSV file, each coded as code_column codes it:
+    (sorted distinct cells, each row's int64 index into them).
 
     The package's one CSV reader, for dataset and prediction files alike:
-    RFC 4180, UTF-8, header row required. Blank lines are skipped and not
-    counted, so cell i of every column is on row i + 2, counting the header
-    as row 1. Cells missing from a short row are empty, and a repeated
-    header name reads its last column. Equal cells share one str object,
-    so a kept cell costs one list pointer. Raises error, naming path, for
-    an empty file, a name absent from the header or bytes that are not
-    UTF-8.
+    RFC 4180, UTF-8, header row required. A record ends at "\\n", "\\r" or
+    "\\r\\n" outside quotes. Blank lines are skipped and not counted, so
+    row i of every column is on row i + 2, counting the header as row 1.
+    Cells missing from a short row are empty, and a repeated header name
+    reads its last column. Raises error, naming path, for an empty file,
+    bytes that are not UTF-8 or a name absent from the header, in that
+    order.
+
+    Two paths read by these rules. A file whose bytes hold no '"', no NUL
+    and no field longer than csv.field_size_limit() is split by numpy on
+    its bytes (_split_fields) and each column is coded without a str per
+    cell (_code_cells). Any other file is read by csv.reader and coded by
+    code_column. Which path a file takes depends on its bytes alone.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise error(f"{path}: empty file, header row required")
+    try:
+        if not data.isascii():
+            data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    if b'"' not in data and b"\0" not in data:
+        data += bytes(_PAD)
+        ends, last = _split_fields(data)
+        longest = max(ends[0], (np.diff(ends) - 1).max(initial=0))
+        # csv.reader raises its own error for a longer field
+        if longest <= csv.field_size_limit():
+            return _split_columns(path, names, error, data, ends, last)
+    return _csv_columns(path, names, error)
+
+
+def _header_index(path, header: list[str], names: list[str],
+                  error: type[Exception]) -> list[int]:
+    """Each name's column: the last one of that name in the header."""
+    for name in names:
+        if name not in header:
+            raise error(f"{path}: declared column {name!r} absent from header")
+    where = {name: i for i, name in enumerate(header)}
+    return [where[name] for name in names]
+
+
+def _csv_columns(path, names: list[str], error: type[Exception]
+                 ) -> list[tuple[list[str], np.ndarray]]:
+    """read_columns by csv.reader and code_column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise error(f"{path}: empty file, header row required")
-            for name in names:
-                if name not in header:
-                    raise error(f"{path}: declared column {name!r} absent "
-                                f"from header")
-            where = {name: i for i, name in enumerate(header)}
-            picks = [where[name] for name in names]
-            width = max(picks) + 1
-            columns: list[list[str]] = [[] for _ in names]
-            intern = {}.setdefault
-            # a few thousand rows at a time, so each column is taken out by
-            # C-level list and map calls rather than a Python loop per row
-            for chunk in iter(lambda: list(islice(reader, 4096)), []):
-                rows = [row if len(row) >= width
-                        else row + [""] * (width - len(row))
-                        for row in chunk if row]
-                for column, i in zip(columns, picks):
-                    cells = [row[i] for row in rows]
-                    column.extend(map(intern, cells, cells))
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    return columns
+        picks = _header_index(path, next(reader), names, error)
+        width = max(picks) + 1
+        columns: list[list[str]] = [[] for _ in names]
+        intern = {}.setdefault
+        # a few thousand rows at a time, so each column is taken out by
+        # C-level list and map calls rather than a Python loop per row
+        for chunk in iter(lambda: list(islice(reader, 4096)), []):
+            rows = [row if len(row) >= width
+                    else row + [""] * (width - len(row))
+                    for row in chunk if row]
+            for column, i in zip(columns, picks):
+                cells = [row[i] for row in rows]
+                column.extend(map(intern, cells, cells))
+    return [code_column(cells) for cells in columns]
+
+
+# zero bytes after a file's own, so that an 8-byte word starts at every
+# offset of the file
+_PAD = 8
+
+
+def _split_fields(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each field of quote-free CSV bytes (followed by _PAD zero
+    bytes) ends, and which field ends each record.
+
+    ends[k] is the offset of the ",", "\\n" or "\\r" after field k, or the
+    file's length for a last field with no line end, so field k spans
+    [ends[k - 1] + 1, ends[k]). last[r] is the index of record r's final
+    field. "\\r\\n" ends a record and then an empty one, which is dropped
+    as a blank line. Offsets are int32 below 2 GiB, which halves every
+    index array.
+    """
+    size = len(data) - _PAD
+    offset = np.int32 if len(data) < 2**31 else np.int64
+    buf = np.frombuffer(data, dtype=np.uint8, count=size)
+    seps = buf == ord(",")
+    seps |= buf == ord("\n")
+    seps |= buf == ord("\r")
+    ends = np.flatnonzero(seps).astype(offset)
+    del seps
+    closes = buf[ends] != ord(",")
+    if data[size - 1] not in b"\n\r":
+        ends = np.append(ends, offset(size))
+        closes = np.append(closes, True)
+    return ends, np.flatnonzero(closes).astype(offset)
+
+
+def _split_columns(path, names: list[str], error: type[Exception],
+                   data: bytes, ends: np.ndarray, last: np.ndarray
+                   ) -> list[tuple[list[str], np.ndarray]]:
+    """read_columns from _split_fields' offsets and _code_cells."""
+    starts = np.concatenate(([0], ends[:last[0]] + 1))
+    header = [data[s:e].decode("utf-8")
+              for s, e in zip(starts.tolist(), ends[:last[0] + 1].tolist())]
+    if header == [""]:
+        header = []  # a blank first line, as csv.reader reads it
+    picks = _header_index(path, header, names, error)
+    # record r >= 1 holds fields last[r - 1] + 1 .. last[r]; a blank line
+    # is one empty field
+    first, last = last[:-1] + 1, last[1:]
+    kept = (first < last) | (ends[first] > ends[first - 1] + 1)
+    first, last = first[kept], last[kept]
+    # the 8 bytes from each offset of the file, as one big-endian word
+    words = np.ndarray((len(data) - _PAD + 1,), dtype=">u8", buffer=data,
+                       strides=(1,))
+    return [_code_cells(data, words, *_cells(ends, first, last, i))
+            for i in picks]
+
+
+def _cells(ends: np.ndarray, first: np.ndarray, last: np.ndarray, i: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Where cell i of each record starts, and its length: 0 for a cell
+    missing from a short row."""
+    k = first + i
+    missing = k > last
+    np.minimum(k, last, out=k)
+    start = ends[k - 1]
+    start += 1
+    length = ends[k]
+    length -= start
+    length[missing] = 0
+    return start, length
+
+
+# KEEP[k] keeps the first k bytes of a big-endian word and zeroes the rest
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)],
+                 dtype=np.uint64)
+
+
+def _code_cells(data: bytes, words: np.ndarray, start: np.ndarray,
+                length: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """code_column of the cells data[start:start + length], for bytes with
+    no NUL, from each cell's bytes packed into 8-byte words.
+
+    A cell is its big-endian words, zero-padded; with no NUL, two cells are
+    equal exactly when their words are, and word order is byte order,
+    which for UTF-8 is code-point order, that is str order. The rows are
+    sorted one word at a time from the last (a stable sort per word, least
+    significant first, _order_by_later_words), so no more than one word
+    per row is held however wide the widest cell is. Codes are taken from
+    the runs of equal cells, and only the distinct cells are decoded.
+    """
+    n = len(start)
+    if n == 0:
+        return [], np.zeros(0, dtype=np.int64)
+
+    def word(rows, w):
+        got = words[start[rows] + 8 * w].astype(np.uint64)
+        keep = length[rows] - 8 * w
+        got &= _KEEP[np.clip(keep, 0, 8, out=keep)]
+        return got
+
+    n_words = (length + 7) >> 3
+    wide = n_words.max() > 1
+    if wide:
+        order = _order_by_later_words(word, n_words)
+        first = word(order, 0)
+        by_first = np.argsort(first, kind="stable")
+        order, first = order[by_first], first[by_first]
+        del by_first
+    else:  # word 0 is the whole cell, so ties are equal cells
+        first = word(slice(None), 0)
+        order = np.argsort(first)
+        first = first[order]
+    del n_words
+
+    # same[j]: the cells of order[j] and order[j + 1] are equal
+    same = first[1:] == first[:-1]
+    del first
+    if wide:
+        # pairs equal in word 0 differ in length or in a later word
+        a, b = length[order[:-1]], length[order[1:]]
+        same &= a == b
+        pairs = np.flatnonzero(same & (a > 8))
+        del a, b
+        w = 1
+        while pairs.size:
+            a, b = order[pairs], order[pairs + 1]
+            equal = word(a, w) == word(b, w)
+            same[pairs[~equal]] = False
+            pairs = pairs[equal & (length[a] > 8 * (w + 1))]
+            w += 1
+
+    head = np.concatenate(([True], ~same))
+    ranks = np.cumsum(head)
+    ranks -= 1
+    codes = np.empty(n, dtype=np.int64)
+    codes[order] = ranks
+    heads = order[head]
+    values = [data[s:s + m].decode("utf-8") for s, m in
+              zip(start[heads].tolist(), length[heads].tolist())]
+    return values, codes
+
+
+def _order_by_later_words(word, n_words: np.ndarray) -> np.ndarray:
+    """Rows in order of their words 1, 2, ... (LSD, the last word first);
+    rows with no byte past word 0 come first, in row order.
+
+    A pass sorts only the rows with a byte in its word: the others have a
+    zero word there, so a stable sort would keep them, in their order,
+    ahead of the rest.
+    """
+    by_words = np.argsort(-n_words, kind="stable")  # most words first
+    # the first wide[w] rows of by_words have a byte in word w
+    wide = np.searchsorted(-n_words[by_words], -np.arange(n_words.max() + 1))
+    # a pass over fewer than two rows leaves them in place: skip those
+    top = int(n_words[by_words[1]]) if len(by_words) > 1 else 0
+    order = by_words[:wide[top]]
+    for w in range(top - 1, 0, -1):
+        order = np.concatenate((by_words[len(order):wide[w]], order))
+        order = order[np.argsort(word(order, w), kind="stable")]
+    return np.concatenate((by_words[len(order):], order))
 
 
 def code_column(cells: list[str]) -> tuple[list[str], np.ndarray]:
@@ -267,8 +453,7 @@ def load_dataset(spec: DatasetSpec) -> RawTable:
     raw = read_columns(path, [c.name for c in spec.columns], IngestError)
     columns: dict[str, list[str]] = {}
     missing: dict[str, np.ndarray] = {}
-    for col, cells in zip(spec.columns, raw):
-        values, codes = code_column(cells)
+    for col, (values, codes) in zip(spec.columns, raw):
         values = [value.strip() for value in values]
         if col.kind == "numeric" and col.role != "ignore":
             # an empty cell is missing, not malformed; its row is dropped
@@ -279,7 +464,7 @@ def load_dataset(spec: DatasetSpec) -> RawTable:
                     f"column {col.name!r}: {values[codes[bad[0]]]!r}")
         columns[col.name] = list(map(values.__getitem__, codes.tolist()))
         missing[col.name] = np.array([not v for v in values], dtype=bool)[codes]
-    return RawTable(columns=columns, n_rows=len(raw[0]), missing=missing)
+    return RawTable(columns=columns, n_rows=len(raw[0][1]), missing=missing)
 
 
 def complete_rows(table: RawTable, spec: DatasetSpec) -> tuple[np.ndarray, int]:

@@ -31,9 +31,11 @@ def _fold(acc: int, word: int) -> int:
     return _splitmix64(acc ^ (word & _MASK64))
 
 
-def stream_key(*ids: int | str) -> tuple[int, int]:
-    """Mix stream identifiers into a 2x64-bit Philox key."""
-    acc = 0x243F6A8885A308D3
+_KEY_START = 0x243F6A8885A308D3
+
+
+def _fold_ids(acc: int, ids) -> int:
+    """acc with each id folded in, its type tag and length first."""
     for part in ids:
         if isinstance(part, str):
             acc = _fold(acc, len(part))
@@ -44,20 +46,36 @@ def stream_key(*ids: int | str) -> tuple[int, int]:
             acc = _fold(acc, int(part))
         else:
             raise TypeError(f"stream ids must be int or str, got {type(part)!r}")
+    return acc
+
+
+def _key(acc: int) -> tuple[int, int]:
     return _splitmix64(acc), _splitmix64(acc ^ 0xD1B54A32D192ED03)
+
+
+def stream_key(*ids: int | str) -> tuple[int, int]:
+    """Mix stream identifiers into a 2x64-bit Philox key."""
+    return _key(_fold_ids(_KEY_START, ids))
 
 
 class Stream:
     """A deterministic source of raw 64-bit words and derived draws."""
 
     def __init__(self, *ids: int | str):
+        self._start(ids, _fold_ids(_KEY_START, ids))
+
+    def _start(self, ids: tuple, acc: int) -> None:
         self.ids = ids
-        self._bg = np.random.Philox(key=np.array(stream_key(*ids), dtype=np.uint64))
+        self._acc = acc  # the ids folded, before the key's last mix
+        self._bg = np.random.Philox(key=np.array(_key(acc), dtype=np.uint64))
         self._buf: list[int] = []
 
     def child(self, *more: int | str) -> "Stream":
-        """Independent stream keyed by this stream's ids plus more."""
-        return Stream(*self.ids, *more)
+        """Independent stream keyed by this stream's ids plus more, the
+        stream Stream(*self.ids, *more) is; only more is folded in."""
+        child = Stream.__new__(Stream)
+        child._start((*self.ids, *more), _fold_ids(self._acc, more))
+        return child
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""

@@ -22,7 +22,6 @@ import pytest
 from fairlens import METRIC_NAMES
 from fairlens.cli import audit_external_predictions, main
 from fairlens.cluster import condensed_index, cut_clusters
-from fairlens.fairmatrix import check_complement_variances, fairness_ratio
 from fairlens.metrics import (ConfusionCounts, compute_metric_vector,
                               confusion_at_threshold, balanced_accuracy,
                               mann_whitney_auc, select_threshold)
@@ -35,6 +34,18 @@ from fairlens.synth import write_recidivism_csv
 REPO = Path(__file__).resolve().parent.parent
 COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"),
                     ("PPV", "FDR"), ("NPV", "FOR"))
+
+
+def row_index(m, model, group):
+    """The row of (model, group) in the metrics matrix m."""
+    return [(r.model, r.group) for r in m.rows].index((model, group))
+
+
+def check_complement_variances(m, tol):
+    """Names of complement pairs whose column variances differ beyond tol."""
+    var = dict(zip(m.metric_names, m.column_variances))
+    return [f"{a}/{b}" for a, b in COMPLEMENT_PAIRS
+            if abs(var[a] - var[b]) > tol]
 
 
 # -- shared end-to-end run (criteria 6, 7, 8) --------------------------------
@@ -314,13 +325,13 @@ def test_criterion_07_recidivism_findings(desk_run):
             f"seed {rec['seed']}: accuracy metrics split"
 
         # the punitive-direction disparities survive training end to end
-        tpr_aa = m.values[m.row_index("logit", "African-American"),
+        tpr_aa = m.values[row_index(m, "logit", "African-American"),
                           names.index("TPR")]
-        tpr_c = m.values[m.row_index("logit", "Caucasian"),
+        tpr_c = m.values[row_index(m, "logit", "Caucasian"),
                          names.index("TPR")]
-        pprev_aa = m.values[m.row_index("logit", "African-American"),
+        pprev_aa = m.values[row_index(m, "logit", "African-American"),
                             names.index("PPREV")]
-        pprev_c = m.values[m.row_index("logit", "Caucasian"),
+        pprev_c = m.values[row_index(m, "logit", "Caucasian"),
                            names.index("PPREV")]
         assert tpr_aa > tpr_c, f"seed {rec['seed']}: TPR direction"
         assert pprev_aa > pprev_c, f"seed {rec['seed']}: PPREV direction"
@@ -417,8 +428,10 @@ def test_criterion_10_audit_mode_exact_rates(tmp_path):
         ("A", "PPR"): 200 / 800, ("B", "PPR"): 150 / 800,
     }
     for (g, metric), expected in want.items():
-        got = m.values[m.row_index("ext", g), names.index(metric)]
+        got = m.values[row_index(m, "ext", g), names.index(metric)]
         assert abs(got - expected) < 1e-12, (g, metric, got, expected)
 
-    ratio = fairness_ratio(m, "TPR", "B", "A", model="ext")
+    tpr = names.index("TPR")
+    ratio = (m.values[row_index(m, "ext", "B"), tpr]
+             / m.values[row_index(m, "ext", "A"), tpr])
     assert abs(ratio - 2.0 / 3.0) < 1e-12

@@ -766,6 +766,36 @@ def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
     assert groups == [{"label": "A", "size": 4000}, {"label": "B", "size": 4000}]
 
 
+def test_quote_free_files_skip_csv_reader(tmp_path, monkeypatch):
+    # the numpy tokenizer reads a quote-free file, so csv.reader is never
+    # called for it; a file with a quoted cell still goes through
+    # csv.reader and gives the bundle of its unquoted twin
+    rows = exact_rate_rows()
+    lines = ["y_true,y_score,grp"] + [f"{y},{s},{g}" for y, s, g in rows]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    write_lines(plain, lines, newline="\r\n")
+    assert lines[1] == "1,0.8,A"
+    write_lines(quoted, [lines[0], '1,0.8,"A"'] + lines[2:], newline="\r\n")
+    real, calls = csv.reader, []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("csv.reader called for a quote-free file")
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", refused)
+    a, _ = audit_external_predictions([("m", str(plain))], ["grp"],
+                                      threshold=0.5)
+    monkeypatch.setattr(csv, "reader", counted)
+    b, _ = audit_external_predictions([("m", str(quoted))], ["grp"],
+                                      threshold=0.5)
+    assert len(calls) == 1
+    b["datasets"][0]["source_path"] = a["datasets"][0]["source_path"]
+    assert a == b
+
+
 def test_shipped_dataset_specs_parse():
     from fairlens.ingest import load_dataset_spec
 

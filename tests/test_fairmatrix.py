@@ -9,8 +9,6 @@ from fairlens.fairmatrix import (
     Provenance,
     aggregate_over_folds,
     assemble_matrix,
-    check_complement_variances,
-    fairness_ratio,
     matrix_csv_text,
     per_model_matrix,
 )
@@ -24,6 +22,31 @@ from fairlens.metrics import (
 )
 
 PROV = Provenance(dataset="toy", feature="race", seed=0)
+COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"), ("PPV", "FDR"), ("NPV", "FOR"))
+
+
+def row_index(m, model, group):
+    """The row of (model, group) in the metrics matrix m."""
+    return [(r.model, r.group) for r in m.rows].index((model, group))
+
+
+def fairness_ratio(m, metric, group_g, group_h, model=None):
+    """m_g(j) / m_h(j) for one model's rows (the first row's model by
+    default); 1.0 signals parity, None an undefined ratio (zero
+    denominator)."""
+    model = m.rows[0].model if model is None else model
+    j = m.metric_names.index(metric)
+    den = m.values[row_index(m, model, group_h), j]
+    if den == 0.0:
+        return None
+    return float(m.values[row_index(m, model, group_g), j] / den)
+
+
+def check_complement_variances(m, tol):
+    """Names of complement pairs whose column variances differ beyond tol."""
+    var = dict(zip(m.metric_names, m.column_variances))
+    return [f"{a}/{b}" for a, b in COMPLEMENT_PAIRS
+            if abs(var[a] - var[b]) > tol]
 
 
 def random_vectors(rng, models, groups, n_total=100):

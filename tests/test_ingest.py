@@ -6,10 +6,12 @@ encoded values are -1.224744871391589, 0, +1.224744871391589.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fairlens import ingest
 from fairlens.ingest import (
     ColumnSpec,
     DatasetSpec,
@@ -20,6 +22,7 @@ from fairlens.ingest import (
     fold_normalized,
     load_dataset,
     load_dataset_spec,
+    read_columns,
 )
 
 Z3 = 1.224744871391589  # 1 / sqrt(2/3)
@@ -572,3 +575,98 @@ def test_coded_encoding_errors_match_per_row_oracle(tmp_path, cells):
     with pytest.raises(IngestError) as new:
         encode_features(table, spec)
     assert str(new.value) == str(old.value)
+
+
+# ---------------------------------------------------------------------------
+# read_columns: the numpy tokenizer of quote-free files against csv.reader
+
+# widths 0, 1, 7, 8, 9, 16 and 17 bytes; "€" (3 bytes) crosses the first
+# 8-byte word boundary, and several cells share an 8- or 16-byte prefix
+READER_CELLS = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh€",
+                "abcdefg€", "0123456789abcdef", "0123456789abcdefg",
+                "0123456789abcdefZ", "€", " a ", "Z", "😀x", "0.25"]
+
+
+def reader_lines():
+    """Rows of one to five cells under the header a,b,c,b (b repeated),
+    with blank lines, and a BOM in the header."""
+    rng = np.random.default_rng(7)
+    lines = ["\ufeffa,b,c,b"]
+    for i in range(80):
+        if i % 11 == 3:
+            lines.append("")
+        picks = rng.integers(0, len(READER_CELLS), size=1 + i % 5)
+        lines.append(",".join(READER_CELLS[k] for k in picks))
+    return lines
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_numpy_and_csv_readers_code_columns_alike(tmp_path, monkeypatch,
+                                                  newline, final_newline):
+    lines = reader_lines()
+    path = tmp_path / "cells.csv"
+    path.write_text(newline.join(lines) + (newline if final_newline else ""),
+                    encoding="utf-8", newline="")
+    # the BOM stays in the first header name, as csv.reader reads it
+    names = ["\ufeffa", "b", "c"]
+    by_csv = ingest._csv_columns(path, names, IngestError)
+    monkeypatch.setattr(csv, "reader", None)  # quote-free: never called
+    by_numpy = read_columns(path, names, IngestError)
+    assert len(by_numpy) == len(by_csv) == 3
+    for (values, codes), (csv_values, csv_codes) in zip(by_numpy, by_csv):
+        assert values == csv_values
+        assert np.array_equal(codes, csv_codes) and codes.dtype == np.int64
+    assert len(by_csv[0][1]) == sum(map(bool, lines[1:]))
+    assert set(by_csv[1][0]) <= set(READER_CELLS)
+    assert by_csv[1][0] != by_csv[2][0]  # b reads the last b column
+
+
+def test_both_readers_name_the_same_bad_row(tmp_path):
+    # a quoted cell sends the file to csv.reader; blank lines are not rows
+    messages = []
+    for quote in ("", '"'):
+        src = tmp_path / f"toy{len(quote)}.csv"
+        write_csv(src, ("age,sex,race,grade,y,extra\n"
+                        f"1,M,A,low,1,{quote}z{quote}\n"
+                        "\n\r\n"
+                        "2,F,B,mid,0,z\r"
+                        "x,M,A,high,1,z\n"))
+        with pytest.raises(IngestError) as exc:
+            load_dataset(make_spec(source_path=str(src)))
+        messages.append(str(exc.value).replace(str(src.resolve()), "<path>"))
+    assert messages[0] == messages[1] == (
+        "<path>: non-parsable numeric cell at row 4, column 'age': 'x'")
+
+
+@pytest.mark.parametrize("cell", ["a", '"a"'])
+def test_blank_first_line_is_an_empty_header(tmp_path, cell):
+    # both readers: the blank line is the header, with no column named ""
+    path = tmp_path / "blank.csv"
+    path.write_text(f"\n,{cell}\n1,2\n", encoding="utf-8")
+    with pytest.raises(IngestError, match="column '' absent from header"):
+        read_columns(path, [""], IngestError)
+
+
+def test_numpy_reader_memory_does_not_grow_with_cell_width(tmp_path):
+    # one 100 kB cell: the words of a cell are sorted one word at a time,
+    # never all of a column's words at once
+    lines = ["y_true,y_score,grp"] + [f"{i % 2},0.{i % 997:03d},g{i % 7}"
+                                      for i in range(20_000)]
+    lines[777] = "1,0.5,g0" + "w" * 100_000
+    lines[778] = "0,0.5,g0wwwwww"  # its word 0 is the wide cell's
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        columns = read_columns(path, ["y_true", "y_score", "grp"],
+                               IngestError)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * path.stat().st_size
+    values, codes = columns[2]
+    assert values == (["g0", "g0wwwwww", "g0" + "w" * 100_000]
+                      + [f"g{k}" for k in range(1, 7)])
+    assert codes[776:778].tolist() == [2, 1]
+    assert np.bincount(codes)[1:3].tolist() == [1, 1]

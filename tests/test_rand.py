@@ -114,3 +114,25 @@ def test_choice_indices_in_range():
     idx = Stream("ci").choice_indices(1000, 17)
     assert idx.min() >= 0 and idx.max() < 17
     assert idx.shape == (1000,)
+
+
+@pytest.mark.parametrize("parent, more, again", [
+    (("rf", 3), ("tree", 7), ("node", 0)),
+    (("hypers", "knn", 0), (12,), ("é", -5, "")),
+    ((), ("a",), (2**63 - 1,)),
+    ((0,), (), ("x", 1)),
+])
+def test_child_is_the_stream_of_the_joined_ids(parent, more, again):
+    # a child folds only its own ids into its parent's, and a child of a
+    # child does too; the keys and streams are those of the joined ids
+    def key(stream):
+        return stream._bg.state["state"]["key"].tolist()
+
+    child = Stream(*parent).child(*more)
+    grandchild = child.child(*again)
+    for got, ids in ((child, parent + more),
+                     (grandchild, parent + more + again)):
+        want = Stream(*ids)
+        assert got.ids == ids
+        assert key(got) == key(want) == list(stream_key(*ids))
+        assert np.array_equal(got.raw(16), want.raw(16))
