@@ -28,8 +28,8 @@ import numpy as np
 from jsonschema import ValidationError, validate
 
 from . import MODEL_KINDS
-from .ingest import (IngestError, code_column, decode_values,
-                     is_path_component, read_columns)
+from .ingest import (IngestError, decode_values, is_path_component,
+                     read_columns, recode)
 from .pipeline import (ConfigError, PredictionFileError, RunConfig,
                        audit_predictions, recluster, reproject, run_pipeline)
 from .report import (BundleError, export_bundle, load_bundle, render_all,
@@ -165,11 +165,8 @@ def _read_prediction_file(path: str, features: list[str],
         decoded, codes = coded[k]
         return np.array(decoded, dtype=dtype)[codes]
 
-    groups = {}
-    for feature, (decoded, codes) in zip(features, coded[2:]):
-        # two raw cells may strip to one label, so code the labels again
-        labels, label_codes = code_column(decoded)
-        groups[feature] = (labels, label_codes[codes])
+    groups = {feature: recode(decoded, codes)
+              for feature, (decoded, codes) in zip(features, coded[2:])}
     val = column_array(len(needed) - 1, bool) if validation_column else None
     return column_array(0, np.int64), column_array(1, np.float64), groups, val
 

@@ -215,22 +215,26 @@ def _header_index(path, header: list[str], names: list[str],
 
 def _csv_columns(path, names: list[str], error: type[Exception]
                  ) -> list[tuple[list[str], np.ndarray]]:
-    """read_columns by csv.reader and code_column."""
+    """read_columns by csv.reader and code_column; a csv.Error, such as a
+    field longer than csv.field_size_limit(), is raised as error."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        picks = _header_index(path, next(reader), names, error)
-        width = max(picks) + 1
-        columns: list[list[str]] = [[] for _ in names]
-        intern = {}.setdefault
-        # a few thousand rows at a time, so each column is taken out by
-        # C-level list and map calls rather than a Python loop per row
-        for chunk in iter(lambda: list(islice(reader, 4096)), []):
-            rows = [row if len(row) >= width
-                    else row + [""] * (width - len(row))
-                    for row in chunk if row]
-            for column, i in zip(columns, picks):
-                cells = [row[i] for row in rows]
-                column.extend(map(intern, cells, cells))
+        try:
+            picks = _header_index(path, next(reader), names, error)
+            width = max(picks) + 1
+            columns: list[list[str]] = [[] for _ in names]
+            intern = {}.setdefault
+            # a few thousand rows at a time, so each column is taken out by
+            # C-level list and map calls rather than a Python loop per row
+            for chunk in iter(lambda: list(islice(reader, 4096)), []):
+                rows = [row if len(row) >= width
+                        else row + [""] * (width - len(row))
+                        for row in chunk if row]
+                for column, i in zip(columns, picks):
+                    cells = [row[i] for row in rows]
+                    column.extend(map(intern, cells, cells))
+        except csv.Error as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None
     return [code_column(cells) for cells in columns]
 
 
@@ -402,6 +406,13 @@ def code_column(cells: list[str]) -> tuple[list[str], np.ndarray]:
     return values, codes
 
 
+def recode(values: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """code_column of values[codes] without an item per row, for values
+    that may repeat: two raw cells can strip or decode to one label."""
+    labels, label_codes = code_column(values)
+    return labels, label_codes[codes]
+
+
 def decode_values(values: list[str], codes: np.ndarray,
                   decode) -> tuple[list, tuple[int, str] | None]:
     """Each value decoded once (None where decode raised ValueError) and,
@@ -434,9 +445,10 @@ def rank_groups(values: list[str], codes: np.ndarray
 
 @dataclass
 class RawTable:
-    """Parsed CSV contents: stripped string cells per declared column."""
+    """Parsed CSV contents: each declared column as its stripped cells,
+    coded (sorted distinct cells, each row's int64 index into them)."""
 
-    columns: dict[str, list[str]]
+    columns: dict[str, tuple[list[str], np.ndarray]]
     n_rows: int
     missing: dict[str, np.ndarray]  # column -> per-row mask of empty cells
 
@@ -451,10 +463,10 @@ def load_dataset(spec: DatasetSpec) -> RawTable:
     if not path.exists():
         raise IngestError(f"dataset file not found: {path}")
     raw = read_columns(path, [c.name for c in spec.columns], IngestError)
-    columns: dict[str, list[str]] = {}
+    columns: dict[str, tuple[list[str], np.ndarray]] = {}
     missing: dict[str, np.ndarray] = {}
     for col, (values, codes) in zip(spec.columns, raw):
-        values = [value.strip() for value in values]
+        values, codes = recode([value.strip() for value in values], codes)
         if col.kind == "numeric" and col.role != "ignore":
             # an empty cell is missing, not malformed; its row is dropped
             _, bad = decode_values(values, codes, lambda v: float(v or 0))
@@ -462,7 +474,7 @@ def load_dataset(spec: DatasetSpec) -> RawTable:
                 raise IngestError(
                     f"{path}: non-parsable numeric cell at row {bad[0] + 2}, "
                     f"column {col.name!r}: {values[codes[bad[0]]]!r}")
-        columns[col.name] = list(map(values.__getitem__, codes.tolist()))
+        columns[col.name] = values, codes
         missing[col.name] = np.array([not v for v in values], dtype=bool)[codes]
     return RawTable(columns=columns, n_rows=len(raw[0][1]), missing=missing)
 
@@ -495,8 +507,8 @@ class EncodedDataset:
 
 def _kept_column(table: RawTable, name: str,
                  kept: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """code_column over the kept rows only."""
-    values, codes = code_column(table.columns[name])
+    """A column coded over the kept rows only."""
+    values, codes = table.columns[name]
     present, codes = np.unique(codes[kept], return_inverse=True)
     return [values[k] for k in present], codes
 
@@ -604,7 +616,7 @@ def extract_groups(table: RawTable, spec: DatasetSpec) -> dict[str, GroupIndex]:
     kept, _ = complete_rows(table, spec)
     out: dict[str, GroupIndex] = {}
     for feature in spec.protected_features:
-        values, codes = code_column(table.columns[feature])
+        values, codes = table.columns[feature]
         labels, assignments, sizes = rank_groups(values, codes[kept])
         if len(labels) < 2:
             raise IngestError(

@@ -1,27 +1,1 @@
 """Classifier zoo: six model kinds, random search, AUC-based selection."""
-
-from .base import (
-    KNN_METRICS,
-    MODEL_KINDS,
-    HyperDraw,
-    TrainedModel,
-    TrainingError,
-    predict_scores,
-    sample_hypers,
-    train,
-)
-from .search import (
-    DrawResult,
-    FoldData,
-    KindSearchOutcome,
-    SearchReport,
-    search_kind,
-    select_best_model,
-)
-
-__all__ = [
-    "KNN_METRICS", "MODEL_KINDS", "HyperDraw", "TrainedModel", "TrainingError",
-    "predict_scores", "sample_hypers", "train",
-    "DrawResult", "FoldData", "KindSearchOutcome", "SearchReport",
-    "search_kind", "select_best_model",
-]

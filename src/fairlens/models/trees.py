@@ -43,19 +43,14 @@ Flat row buffer: the distinct rows of every tree sit in one buffer, tree
 after tree, with their label and weight words beside them, and a node is a
 contiguous range of it. A split partitions its node's range in place,
 lefts first, so children are subranges and no rows are copied per node.
-Open nodes are rows of one integer array (tree, id, range, depth, weight,
+Open nodes are rows of one integer array (tree, id, range, weight,
 positive weight).
 
-Growth order: a plain tree tries every feature and scores its whole open
-frontier in each step. A forest tree tries sqrt(F) features and uses one
-permutation of its stream per node in depth-first preorder, so it
-contributes only its next preorder node (the top of its stack) to each
-step. A forest advances all of its trees in lockstep: a tree is open from
-the first step until its stack runs out, so in step k every open tree
-scores its preorder node k. Each tree's permutations are drawn in blocks
-(Stream.permutations), whose rows are the draws that one permutation call
-per node would make, so every tree uses the same features as when grown
-alone; the unused rest of its last block is never read.
+Level order: each step scores the whole frontier, one depth level of every
+tree, sorted by tree; each parent's right child comes before its left. A
+plain tree tries every feature; a forest tree tries sqrt(F), and its k-th
+scored node in this order uses permutation k of its stream, drawn in
+blocks (Stream.permutations) whose rows are the successive draws.
 
 Fitted nodes are flat arrays; a leaf has feature -1 and is its own child,
 and a left child's id is its right sibling's + 1. Prediction routes the
@@ -71,11 +66,11 @@ from ..rand import Stream
 
 _BATCH_KEYS = 1 << 16  # sort keys (node rows x features) per batch
 _ROUTE_KEYS = 1 << 14  # (tree, row) pairs routed per batch in leaf_scores
-_FIRST_BLOCK = 64      # permutations per tree drawn first; later blocks double
+_FIRST_BLOCK = 64      # permutations per tree drawn first; later blocks at least double
 _LOW32 = (1 << 32) - 1
-# columns of an open node: tree, node id, buffer range, depth, weight and
-# positive weight
-_TREE, _ID, _LO, _HI, _DEPTH, _N, _POS = range(7)
+# columns of an open node: tree, node id, buffer range, weight and positive
+# weight
+_TREE, _ID, _LO, _HI, _N, _POS = range(6)
 _BELOW_AT = np.array([[1], [0]])  # the runs below and above a cut
 
 
@@ -142,7 +137,7 @@ class _Coded:
             self.lw[end - r.size:end] = label.take(r) << self.wbits | w
         self.roots = np.column_stack((
             np.arange(T), np.arange(T), np.cumsum(count) - count, np.cumsum(count),
-            np.zeros(T, dtype=np.intp), [size for size, _, _ in held],
+            [size for size, _, _ in held],
             [w @ label.take(r) for _, r, w in held]))
 
 
@@ -239,10 +234,9 @@ class DecisionTree:
         return self.grow(X, y, [np.arange(X.shape[0])])
 
     def _tried(self, nodes: np.ndarray) -> np.ndarray:
-        """The nodes that pass the depth, size and purity tests."""
+        """The nodes that pass the size and purity tests."""
         n, pos = nodes[:, _N], nodes[:, _POS]
-        return ((nodes[:, _DEPTH] < self.max_depth) & (n >= 2 * self.min_leaf)
-                & (pos > 0) & (pos < n))
+        return (n >= 2 * self.min_leaf) & (pos > 0) & (pos < n)
 
     def grow(self, X, y, roots, streams=None) -> "DecisionTree":
         """Grow one tree per root sample (row indices, repeats allowed) that
@@ -257,32 +251,30 @@ class DecisionTree:
         value = np.zeros((len(split), 2))
         value[:T, 1] = coded.roots[:, _POS] / np.maximum(coded.roots[:, _N], 1)
         m = F if streams is None else max(1, int(np.sqrt(F)))
-        block = np.zeros((0, T, m), dtype=np.intp)  # step, tree: sorted features
-        open_, kid, steps = coded.roots[self._tried(coded.roots)], T, 0
-        levels = 0  # the depth of the deepest leaf
-        while open_.size:
+        block = np.zeros((0, T, m), dtype=np.intp)  # k, tree: sorted features
+        used = np.zeros(T, dtype=np.intp)  # permutations each tree has used
+        frontier, kid, levels = coded.roots[self._tried(coded.roots)], T, 0
+        for depth in range(self.max_depth):
+            if not frontier.size:
+                break
             if streams is None:
-                step, rest = open_, open_[:0]
-                feats = np.broadcast_to(np.arange(F), (len(step), F))
-            else:
-                # a tree is open from step 0 until its stack runs out, so in
-                # step k each open tree tries its node k of preorder
-                if steps == len(block):
-                    more = max(_FIRST_BLOCK, steps)
+                feats = np.broadcast_to(np.arange(F), (len(frontier), F))
+            else:  # node k of a tree, in level order, uses its permutation k
+                tree = frontier[:, _TREE]
+                k = used.take(tree) + np.arange(len(tree)) - tree.searchsorted(tree)
+                used += np.bincount(tree, minlength=T)
+                if used.max() > len(block):
+                    more = max(_FIRST_BLOCK, len(block), used.max() - len(block))
                     block = np.concatenate((block, np.stack([np.sort(
                         s.permutations(more, F)[:, :m], axis=1) for s in streams], axis=1)))
-                top = np.ones(len(open_), dtype=bool)  # the last row of each tree
-                np.not_equal(open_[1:, _TREE], open_[:-1, _TREE], out=top[:-1])
-                step, rest = open_[top], open_[~top]
-                feats = block[steps].take(step[:, _TREE], axis=0)
-                steps += 1
-            sizes = step[:, _HI] - step[:, _LO]
+                feats = block[k, tree]
+            sizes = frontier[:, _HI] - frontier[:, _LO]
             total = np.cumsum(sizes * m)  # keys up to each node
-            kids, lo = [rest], 0
-            while lo < len(step):  # batches of at most _BATCH_KEYS keys, or one node
+            kids, lo = [frontier[:0]], 0
+            while lo < len(frontier):  # batches of at most _BATCH_KEYS keys, or one node
                 hi = max(lo + 1, int(np.searchsorted(
                     total, (total[lo - 1] if lo else 0) + _BATCH_KEYS, "right")))
-                batch, sz = step[lo:hi], sizes[lo:hi]
+                batch, sz = frontier[lo:hi], sizes[lo:hi]
                 ends = np.zeros(hi - lo + 1, dtype=np.intp)
                 np.cumsum(sz, out=ends[1:])
                 at = np.repeat(batch[:, _LO] - ends[:-1], sz) + np.arange(ends[-1])
@@ -292,12 +284,10 @@ class DecisionTree:
                 if not i.size:
                     continue
                 n_go, left = _partition(coded, at, r, w, ends, i, f, thr)
-                parent, K = batch[i], i.size
-                levels = max(levels, int(parent[:, _DEPTH].max()) + 1)
+                parent, K, levels = batch[i], i.size, depth + 1
                 child = np.repeat(parent, 2, axis=0)  # each parent's right, then left
                 child[:, _ID] = kid + np.arange(2 * K)
                 child[0::2, _LO] = child[1::2, _HI] = parent[:, _LO] + n_go
-                child[:, _DEPTH] += 1
                 child[1::2, _N], child[1::2, _POS] = left & _LOW32, left >> 32
                 child[0::2, _N] -= child[1::2, _N]
                 child[0::2, _POS] -= child[1::2, _POS]
@@ -310,9 +300,7 @@ class DecisionTree:
                 value[kid:kid + 2 * K, 1] = child[:, _POS] / np.maximum(child[:, _N], 1)
                 kid += 2 * K
                 kids.append(child[self._tried(child)])
-            open_ = np.concatenate(kids)
-            if streams is not None:  # the left child tops its tree's stack
-                open_ = open_[np.argsort(open_[:, _TREE], kind="stable")]
+            frontier = np.concatenate(kids)
         self.feature, self.threshold = split[:kid, 0].copy(), value[:kid, 0].copy()
         self.score, leaf = value[:kid, 1].copy(), self.feature < 0
         self.left = np.where(leaf, np.arange(kid), split[:kid, 1])

@@ -743,6 +743,31 @@ def test_reader_rejects_non_utf8_file(tmp_path, capsys):
     assert f"error: {path}: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_over_long_field_is_reported_by_audit_and_run(tmp_path, capsys):
+    # a quoted 140 kB cell is longer than csv.field_size_limit()
+    big = '"' + "A" * 140_000 + '"'
+    path = tmp_path / "p.csv"
+    write_lines(path, ["y_true,y_score,grp", "1,0.9,A", f"0,0.2,{big}"])
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--predictions", f"m={path}", "--features", "grp",
+              "--out", str(tmp_path / "audit")])
+    assert exc.value.code == 2
+    assert f"error: {path}: line 3: field larger than field limit" in (
+        capsys.readouterr().err)
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=50, seed=2)
+    with open(tmp_path / "t.csv", "a", encoding="utf-8") as fh:
+        fh.write(f"30,M,{big},0,1,F,0\n")
+    spec = write_spec(tmp_path, "t.csv")
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "ingest"
+    assert "t.csv" in failure["error"]
+    assert "field larger than field limit" in failure["error"]
+
+
 def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
     # 8000 rows, so the reader's chunks of 4096 rows meet inside the file;
     # B rows come first, but the equal-sized groups are ordered by label
@@ -856,8 +881,8 @@ def test_bench_trace_targets_resolve():
 
 # sha256 of bundle.json for the fixed run below. A change that alters the
 # bundle on purpose updates this constant and says why in CHANGES.md.
-GOLDEN_BUNDLE_SHA256 = ("5d314c8cc602b1b5922800344ee8f982"
-                        "ac3a7a14db129c8fefec90ee4849a224")
+GOLDEN_BUNDLE_SHA256 = ("008370aa12477c5feaa03a402140e7f7"
+                        "c7651a3f3826fc2f7b9e70fc4de0b7ce")
 
 
 def test_golden_bundle_hash(tmp_path):

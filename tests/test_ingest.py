@@ -66,6 +66,12 @@ def toy_table(tmp_path, csv_text=TOY_CSV):
     return load_dataset(spec), spec
 
 
+def row_cells(table, name, rows=slice(None)):
+    """A column's stripped cell on each of rows, expanded from its codes."""
+    values, codes = table.columns[name]
+    return [values[k] for k in codes[rows].tolist()]
+
+
 def test_numeric_zscore_population_std(tmp_path):
     table, spec = toy_table(tmp_path)
     enc = encode_features(table, spec)
@@ -202,7 +208,7 @@ def test_short_rows_read_as_missing_cells(tmp_path):
         columns=make_spec().columns + (ColumnSpec("extra", "categorical",
                                                   role="ignore"),))
     table = load_dataset(spec)
-    assert table.columns["grade"] == ["low", "mid", "", "high"]
+    assert row_cells(table, "grade") == ["low", "mid", "", "high"]
     assert table.missing["extra"].tolist() == [False, True, True, False]
     kept, dropped = complete_rows(table, spec)
     assert kept.tolist() == [0, 1, 3] and dropped == 1
@@ -214,7 +220,7 @@ def test_repeated_header_reads_last_column(tmp_path):
                 "junk,F,B,mid,0,2\n"
                 ",M,A,high,1,3\n")
     table, spec = toy_table(tmp_path, csv_text)
-    assert table.columns["age"] == ["1", "2", "3"]
+    assert row_cells(table, "age") == ["1", "2", "3"]
     enc = encode_features(table, spec)
     assert enc.dropped_rows == 0
     age = enc.raw_design[:, enc.column_names.index("age")]
@@ -395,7 +401,7 @@ def old_encode_features(table, spec):
     for col in spec.columns:
         if col.role != "feature":
             continue
-        cells = [table.columns[col.name][i] for i in kept]
+        cells = row_cells(table, col.name, kept)
         if col.kind == "numeric":
             vals = np.array([float(c) for c in cells], dtype=np.float64)
             scaled.append(len(names))
@@ -435,7 +441,7 @@ def old_encode_features(table, spec):
             blocks.append(hot)
     raw_design = np.hstack(blocks) if blocks else np.zeros((kept.size, 0))
     # the label column was looked up through the since removed spec.column
-    label_cells = [table.columns[spec.label_column][i] for i in kept]
+    label_cells = row_cells(table, spec.label_column, kept)
     observed_labels = sorted(set(label_cells))
     if kept.size and spec.positive_value not in observed_labels:
         raise IngestError(
@@ -453,7 +459,7 @@ def old_extract_groups(table, spec):
     kept, _ = complete_rows(table, spec)
     out = {}
     for feature in spec.protected_features:
-        cells = [table.columns[feature][i] for i in kept]
+        cells = row_cells(table, feature, kept)
         counts = {}
         for c in cells:
             counts[c] = counts.get(c, 0) + 1

@@ -4,27 +4,20 @@ gradient checks against finite differences, and search selection."""
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairlens.models import (
-    KNN_METRICS,
-    MODEL_KINDS,
-    FoldData,
-    HyperDraw,
-    TrainingError,
-    sample_hypers,
-    search_kind,
-    select_best_model,
-    train,
-)
+from fairlens.models.base import (KNN_METRICS, MODEL_KINDS, HyperDraw,
+                                  TrainingError, sample_hypers, train)
 from fairlens.models.bayes import GaussianNb
 from fairlens.models.linear import Logit, logit_objective, sigmoid
 from fairlens.models.neighbors import Knn
 from fairlens.models.nn import LEARNING_RATE, Mlp
-from fairlens.models.search import DrawResult
+from fairlens.models.search import (DrawResult, FoldData, search_kind,
+                                    select_best_model)
 from fairlens.models.trees import DecisionTree, RandomForest
 from fairlens.rand import Stream
 
@@ -449,7 +442,7 @@ def test_pairwise_sum_matches_numpy_sum_bits(n):
 _DISTANCE_DIGESTS = """
 import hashlib
 import numpy as np
-from fairlens.models import KNN_METRICS
+from fairlens.models.base import KNN_METRICS
 from fairlens.models.neighbors import Knn
 rng = np.random.default_rng(52)
 X, test = rng.normal(size=(400, 9)), rng.normal(size=(32, 9))
@@ -673,9 +666,10 @@ def test_rf_deterministic_per_stream():
     assert np.array_equal(a, b)
 
 
-# The recursive one-node-at-a-time CART that the batched grower replaced,
-# kept as a bit-identity oracle: trees, thresholds, leaf scores and the
-# order of a forest tree's feature draws must all be equal.
+# One-node-at-a-time CART, kept as a bit-identity oracle for the batched
+# grower: recursive for a plain tree, breadth first for a forest, whose
+# trees, thresholds, leaf scores and order of feature draws must all be
+# equal.
 
 class OracleNode:
     def __init__(self, score):
@@ -717,25 +711,23 @@ def oracle_best_split(X, y, features, min_leaf):
     return best
 
 
-def oracle_build(X, y, depth, max_depth, min_leaf, max_features=None,
-                 stream=None):
+def oracle_tried(y, depth, max_depth, min_leaf):
+    """A node is scored when it passes the depth, size and purity tests."""
+    return depth < max_depth and y.size >= 2 * min_leaf and 0 < y.sum() < y.size
+
+
+def oracle_build(X, y, depth, max_depth, min_leaf):
     node = OracleNode(float(np.mean(y)) if y.size else 0.0)
-    if depth >= max_depth or y.size < 2 * min_leaf or node.score in (0.0, 1.0):
+    if not oracle_tried(y, depth, max_depth, min_leaf):
         return node
-    if max_features is None:
-        features = np.arange(X.shape[1])
-    else:
-        m = min(max_features, X.shape[1])
-        features = np.sort(stream.permutation(X.shape[1])[:m])
-    best = oracle_best_split(X, y, features, min_leaf)
+    best = oracle_best_split(X, y, np.arange(X.shape[1]), min_leaf)
     if best is None:
         return node
     _, node.feature, node.threshold = best
     mask = X[:, node.feature] <= node.threshold
-    node.left = oracle_build(X[mask], y[mask], depth + 1, max_depth, min_leaf,
-                             max_features, stream)
+    node.left = oracle_build(X[mask], y[mask], depth + 1, max_depth, min_leaf)
     node.right = oracle_build(X[~mask], y[~mask], depth + 1, max_depth,
-                              min_leaf, max_features, stream)
+                              min_leaf)
     return node
 
 
@@ -757,13 +749,31 @@ def oracle_scores(root, X):
 
 
 def oracle_forest(X, y, n_trees, max_depth, min_leaf, stream):
-    n, m = X.shape[0], max(1, int(np.sqrt(X.shape[1])))
+    """Each tree grown breadth first: a node that passes the tests draws the
+    next permutation of its tree's stream, and a split queues the node's
+    right child, then its left."""
+    (n, F), m = X.shape, max(1, int(np.sqrt(X.shape[1])))
     roots = []
     for t in range(n_trees):
         child = stream.child("tree", t)
         idx = child.choice_indices(n, n)
-        roots.append(oracle_build(X[idx], y[idx].astype(np.int64), 0,
-                                  max_depth, min_leaf, m, child))
+        yt = y[idx].astype(np.int64)
+        roots.append(OracleNode(float(np.mean(yt))))
+        queue = deque([(roots[-1], X[idx], yt, 0)])
+        while queue:
+            node, Xn, yn, depth = queue.popleft()
+            if not oracle_tried(yn, depth, max_depth, min_leaf):
+                continue
+            features = np.sort(child.permutation(F)[:m])
+            best = oracle_best_split(Xn, yn, features, min_leaf)
+            if best is None:
+                continue
+            _, node.feature, node.threshold = best
+            mask = Xn[:, node.feature] <= node.threshold
+            node.left = OracleNode(float(np.mean(yn[mask])))
+            node.right = OracleNode(float(np.mean(yn[~mask])))
+            queue.append((node.right, Xn[~mask], yn[~mask], depth + 1))
+            queue.append((node.left, Xn[mask], yn[mask], depth + 1))
     return roots
 
 
@@ -855,7 +865,7 @@ def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
     monkeypatch.setattr(Stream, "permutations", recording_block)
     monkeypatch.setattr(trees, "_best_splits", counting)
     forest = RandomForest(n_trees, max_depth, min_leaf).fit(X, y, Stream("rf-o", 1))
-    # each tree uses its split features in the oracle's preorder; the
+    # each tree uses its split features in the oracle's level order; the
     # permutations it drew ahead and never used are not compared
     assert oracle_draws
     for t in range(n_trees):
@@ -869,6 +879,37 @@ def test_forest_bits_and_draw_order_match_oracle(monkeypatch, data, n_trees,
     test = np.vstack([X, data(rng, 100)[0]])
     votes = sum((oracle_scores(root, test) >= 0.5).astype(float) for root in roots)
     assert same_bits(forest.predict_scores(test), votes / n_trees)
+
+
+def test_forest_node_k_uses_permutation_k_in_level_order(monkeypatch):
+    from fairlens.models import trees
+
+    scored = []  # (tree, node id, features) of each node scored, in order
+    real = trees._best_splits
+
+    def recording(coded, rows, lw, nodes, feats, min_leaf):
+        scored.extend(zip(nodes[:, trees._TREE].tolist(),
+                          nodes[:, trees._ID].tolist(), feats.tolist()))
+        return real(coded, rows, lw, nodes, feats, min_leaf)
+
+    monkeypatch.setattr(trees, "_best_splits", recording)
+    X, y = continuous(np.random.default_rng(50), 120)  # 5 features, 2 per node
+    forest = RandomForest(3, 5, 2).fit(X, y, Stream("pin", 0)).trees
+    for t in range(3):
+        mine = [(k, f) for tree, k, f in scored if tree == t]
+        assert len(mine) > 3
+        stream = Stream("pin", 0).child("tree", t)
+        stream.choice_indices(120, 120)  # the bootstrap is drawn first
+        assert [f for _, f in mine] == [
+            np.sort(stream.permutation(5)[:2]).tolist() for _ in mine]
+        # level order: depth by depth, each parent's right child first
+        level, order = [t], []
+        while level:
+            order += level
+            level = [c for k in level if forest.feature[k] >= 0
+                     for c in (forest.right[k], forest.left[k])]
+        ids = [k for k, _ in mine]
+        assert ids == [k for k in order if k in ids]
 
 
 def test_tree_ties_across_features_keep_the_first_feature():
