@@ -1,10 +1,11 @@
 """Metrics-matrix assembly, fold pooling and column variances.
 
-The matrix M_p for protected feature p stacks one 13-entry metric row per
-(model, group) pair: models outer in canonical kind order, groups inner in
-their canonical order (descending size, then label). Flags ride along cell
-by cell. Column variances are population variances, which makes the
-complement-pair equality Var(c) = Var(1-c) an exact identity.
+The matrix M_p for protected feature p stacks each model's (groups, 13)
+metric table: one row per (model, group) pair, keyed "model:group" as in
+the bundle, models outer in canonical kind order, groups inner in their
+canonical order (descending size, then label). Column variances are
+population variances, which makes the complement-pair equality
+Var(c) = Var(1-c) an exact identity.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRIC_NAMES, MODEL_KINDS
-from .metrics import MetricVector, group_metric_vectors
+from .metrics import group_metric_vectors
 
 
 def kind_sort_key(kind: str) -> tuple[int, int, str]:
@@ -26,16 +27,6 @@ def kind_sort_key(kind: str) -> tuple[int, int, str]:
 
 
 @dataclass(frozen=True)
-class RowKey:
-    group: str
-    model: str
-    protected_feature: str
-
-    def __str__(self) -> str:
-        return f"{self.model}:{self.group}"
-
-
-@dataclass(frozen=True)
 class Provenance:
     dataset: str
     feature: str
@@ -44,7 +35,7 @@ class Provenance:
 
 @dataclass
 class MetricsMatrix:
-    rows: tuple[RowKey, ...]
+    rows: tuple[str, ...]         # "model:group"
     metric_names: tuple[str, ...]
     values: np.ndarray            # I x J
     flags: np.ndarray             # I x J bool
@@ -52,50 +43,31 @@ class MetricsMatrix:
     provenance: Provenance
 
 
-def _column_variances(values: np.ndarray) -> np.ndarray:
-    return np.var(values, axis=0, ddof=0)
-
-
-def assemble_matrix(
-    vectors: dict[str, dict[str, MetricVector]],
-    feature: str,
-    group_order: tuple[str, ...] | list[str],
-    provenance: Provenance,
-) -> MetricsMatrix:
-    """Stack per-(model, group) metric vectors into M_p.
-
-    vectors maps model kind -> group label -> MetricVector; every model must
-    cover every group in group_order.
-    """
-    if not vectors:
-        raise ValueError("no model vectors to assemble")
-    models = sorted(vectors, key=kind_sort_key)
-    rows: list[RowKey] = []
-    data: list[np.ndarray] = []
-    flag_rows: list[np.ndarray] = []
+def assemble_matrix(tables: dict[str, tuple[np.ndarray, np.ndarray]],
+                    group_order, provenance: Provenance) -> MetricsMatrix:
+    """Stack each model's metric table into M_p; tables maps model ->
+    (values, flags), each with one row per group of group_order."""
+    if not tables:
+        raise ValueError("no model metric tables to assemble")
+    models = sorted(tables, key=kind_sort_key)
+    shape = (len(group_order), len(METRIC_NAMES))
     for model in models:
-        by_group = vectors[model]
-        for group in group_order:
-            if group not in by_group:
-                raise ValueError(f"missing metric vector for ({model!r}, {group!r})")
-            v = by_group[group]
-            rows.append(RowKey(group=group, model=model, protected_feature=feature))
-            data.append(v.values)
-            flag_rows.append(v.flags)
-    values = np.vstack(data)
+        if any(np.shape(part) != shape for part in tables[model]):
+            raise ValueError(f"metric table of {model!r} is not {shape}")
+    values = np.vstack([tables[m][0] for m in models])
     return MetricsMatrix(
-        rows=tuple(rows),
+        rows=tuple(f"{m}:{g}" for m in models for g in group_order),
         metric_names=METRIC_NAMES,
         values=values,
-        flags=np.vstack(flag_rows),
-        column_variances=_column_variances(values),
+        flags=np.vstack([tables[m][1] for m in models]),
+        column_variances=np.var(values, axis=0),
         provenance=provenance,
     )
 
 
 def per_model_matrix(m: MetricsMatrix, model: str) -> MetricsMatrix:
     """Restrict M_p to one model's G rows, preserving group order."""
-    idx = [i for i, r in enumerate(m.rows) if r.model == model]
+    idx = [i for i, r in enumerate(m.rows) if r.startswith(model + ":")]
     if not idx:
         raise ValueError(f"model {model!r} not present in matrix")
     values = m.values[idx]
@@ -104,7 +76,7 @@ def per_model_matrix(m: MetricsMatrix, model: str) -> MetricsMatrix:
         metric_names=m.metric_names,
         values=values,
         flags=m.flags[idx],
-        column_variances=_column_variances(values),
+        column_variances=np.var(values, axis=0),
         provenance=m.provenance,
     )
 
@@ -116,14 +88,14 @@ def aggregate_over_folds(
     thresholds: list[float],
     group_labels: tuple[str, ...] | list[str],
     n_total: int,
-) -> dict[str, MetricVector]:
-    """One MetricVector per group, pooled over the test folds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The metric table of the groups, pooled over the test folds.
 
     The folds' rows are concatenated and each row is judged against its own
     fold's threshold, so a group's confusion counts are the sums of its
     per-fold counts (micro aggregation). AUC ranks the group's pooled rows,
     kept in fold order. A group absent from every fold gets the fully
-    imputed vector; an audit is the case of a single fold.
+    imputed row; an audit is the case of a single fold.
     """
     if not fold_scores:
         raise ValueError("need at least one fold")

@@ -123,6 +123,16 @@ def _list_field(value, what: str) -> tuple:
     return tuple(value)
 
 
+def _str_map_field(value, what: str) -> dict[str, str]:
+    """A spec field that must be a JSON object of strings; dict() would
+    take a list of two-character strings as key/value pairs."""
+    if not (isinstance(value, dict)
+            and all(isinstance(v, str) for v in value.values())):
+        raise IngestError(f"{what} must be a JSON object of strings, "
+                          f"got {value!r}")
+    return dict(value)
+
+
 def load_dataset_spec(path: str | Path) -> DatasetSpec:
     """Read a dataset spec JSON file; source_path is read relative to it.
 
@@ -143,7 +153,6 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
             )
             for c in raw["columns"]
         )
-        ref = raw.get("reference_groups", {})
         spec = DatasetSpec(
             name=raw["name"],
             source_path=raw["source_path"],
@@ -153,7 +162,8 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
             positive_meaning=raw["positive_meaning"],
             protected_features=_list_field(raw["protected_features"],
                                            "protected_features"),
-            reference_groups=dict(ref),
+            reference_groups=_str_map_field(raw.get("reference_groups", {}),
+                                            "reference_groups"),
             base_dir=str(path.parent),
         )
     except KeyError as exc:

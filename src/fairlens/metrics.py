@@ -6,10 +6,12 @@ NPV, FDR, FOR, PPR, PPREV. FDR is FP/(TP+FP), the complement of PPV. PPREV
 divides positive predictions by the group size; PPR divides by the whole
 dataset size, so the two differ exactly when the group is a proper subset.
 
-Degenerate cases never raise inside the vector path: a rate with a zero
-denominator is imputed as 0.0 and flagged, single-class AUC is imputed as
-0.5 and flagged. Flags ride along with every vector so reports can show
-which cells are imputations rather than measurements.
+The metrics of a cell's groups form one table, two (groups, 13) arrays of
+values and flags, computed from per-group counts in one vectorized pass
+(metric_table). Degenerate cases never raise: a rate with a zero
+denominator is imputed as 0.0 and flagged (_rates, the one such rule),
+single-class AUC as 0.5 and flagged. The flags show which cells are
+imputations rather than measurements.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import METRIC_NAMES
 
 # endpoint candidates for threshold selection; strictly inside (0,1)
 _EDGE = 1e-6
@@ -31,10 +31,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class ThresholdChoice:
@@ -42,20 +38,6 @@ class ThresholdChoice:
     achieved_ba: float
     n_candidates: int
     degenerate: bool = False  # single-class validation fallback
-
-
-@dataclass(frozen=True)
-class MetricVector:
-    """The 13 metrics in canonical order; flags mark imputed entries."""
-
-    values: np.ndarray  # shape (13,)
-    flags: np.ndarray   # shape (13,), bool, True = imputed
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[METRIC_NAMES.index(name)])
-
-    def flagged(self, name: str) -> bool:
-        return bool(self.flags[METRIC_NAMES.index(name)])
 
 
 def confusion_at_threshold(scores, labels, t) -> ConfusionCounts:
@@ -77,54 +59,59 @@ def confusion_at_threshold(scores, labels, t) -> ConfusionCounts:
     )
 
 
-def _rate(num: int, den: int) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
+def _rates(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """num / den elementwise, and where den == 0 the imputed 0.0 with its
+    flag set: the package's one zero-denominator rule. No division by
+    zero is ever carried out."""
+    num, den = np.broadcast_arrays(num, den)
+    zero = den == 0
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=~zero)
+    return out, zero
 
 
-def compute_metric_vector(counts: ConfusionCounts, auc: float, n_total: int,
-                          auc_flagged: bool = False) -> MetricVector:
-    """All 13 metrics from pooled counts plus a precomputed AUC.
+def _balanced(tp, fp, tn, fn):
+    """TPR, TNR and BA = (TPR + TNR) / 2, each as (values, flags); BA is
+    flagged where either rate is."""
+    tpr, f_tpr = _rates(tp, tp + fn)
+    tnr, f_tnr = _rates(tn, tn + fp)
+    return (tpr, f_tpr), (tnr, f_tnr), ((tpr + tnr) / 2.0, f_tpr | f_tnr)
 
-    n_total is the whole-dataset size N; the counts cover one group of size
-    N_g = counts.total, so PPR and PPREV share a numerator but not a
-    denominator.
+
+def metric_table(tp, fp, tn, fn, auc, auc_flags,
+                 n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 13 metrics of each group's counts: (values, flags), two arrays
+    of shape (groups, 13) in METRIC_NAMES order, flags True where imputed.
+
+    auc and auc_flags hold each group's precomputed AUC. n_total is the
+    whole-dataset size N and a group has N_g = tp + fp + tn + fn rows, so
+    PPR and PPREV share a numerator but not a denominator. An empty group
+    (N_g = 0) gets AUC 0.5, zeros elsewhere and every flag set.
     """
-    n_g = counts.total
-    if n_g == 0:
-        raise ValueError("all counts zero; use empty_metric_vector for empty groups")
-    if n_total < n_g:
-        raise ValueError(f"n_total={n_total} smaller than group size {n_g}")
-    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
-
-    a = (tp + tn) / n_g
-    tpr, f_tpr = _rate(tp, tp + fn)
-    fnr, f_fnr = _rate(fn, tp + fn)
-    tnr, f_tnr = _rate(tn, tn + fp)
-    fpr, f_fpr = _rate(fp, tn + fp)
-    ppv, f_ppv = _rate(tp, tp + fp)
-    fdr, f_fdr = _rate(fp, tp + fp)
-    npv, f_npv = _rate(tn, tn + fn)
-    for_, f_for = _rate(fn, tn + fn)
-    ba = (tpr + tnr) / 2.0
-    f_ba = f_tpr or f_tnr
-    ppr = (tp + fp) / n_total
-    pprev = (tp + fp) / n_g
-
-    values = np.array([auc, a, ba, fpr, tpr, fnr, tnr,
-                       ppv, npv, fdr, for_, ppr, pprev])
-    flags = np.array([auc_flagged, False, f_ba, f_fpr, f_tpr, f_fnr, f_tnr,
-                      f_ppv, f_npv, f_fdr, f_for, False, False])
-    return MetricVector(values=values, flags=flags)
-
-
-def empty_metric_vector() -> MetricVector:
-    """Fully imputed vector for a group with zero scored rows."""
-    values = np.zeros(len(METRIC_NAMES))
-    values[METRIC_NAMES.index("AUC")] = 0.5
-    flags = np.ones(len(METRIC_NAMES), dtype=bool)
-    return MetricVector(values=values, flags=flags)
+    tp, fp, tn, fn = (np.asarray(c, dtype=np.int64) for c in (tp, fp, tn, fn))
+    n_g = tp + fp + tn + fn
+    if np.any(n_g > n_total):
+        raise ValueError(f"n_total={n_total} smaller than group size "
+                         f"{int(n_g.max())}")
+    empty = n_g == 0
+    tpr, tnr, ba = _balanced(tp, fp, tn, fn)
+    columns = (
+        (np.where(empty, 0.5, auc), empty | auc_flags),
+        _rates(tp + tn, n_g),                    # A
+        ba,
+        _rates(fp, tn + fp),                     # FPR
+        tpr,
+        _rates(fn, tp + fn),                     # FNR
+        tnr,
+        _rates(tp, tp + fp),                     # PPV
+        _rates(tn, tn + fn),                     # NPV
+        _rates(fp, tp + fp),                     # FDR
+        _rates(fn, tn + fn),                     # FOR
+        (_rates(tp + fp, n_total)[0], empty),    # PPR
+        _rates(tp + fp, n_g),                    # PPREV
+    )
+    return (np.stack([v for v, _ in columns], axis=-1),
+            np.stack([f for _, f in columns], axis=-1))
 
 
 def mann_whitney_auc(scores, labels) -> float:
@@ -158,9 +145,8 @@ def auc_or_default(scores, labels) -> tuple[float, bool]:
 
 
 def balanced_accuracy(counts: ConfusionCounts) -> float:
-    tpr, _ = _rate(counts.tp, counts.tp + counts.fn)
-    tnr, _ = _rate(counts.tn, counts.tn + counts.fp)
-    return (tpr + tnr) / 2.0
+    _, _, (ba, _) = _balanced(counts.tp, counts.fp, counts.tn, counts.fn)
+    return float(ba)
 
 
 def select_threshold(scores, labels) -> ThresholdChoice:
@@ -177,7 +163,7 @@ def select_threshold(scores, labels) -> ThresholdChoice:
     number of rows below each candidate is found by binary search, and a
     cumulative count of positives in sorted order splits those rows into
     false negatives and true negatives. The counts are the integers
-    confusion_at_threshold would tally and BA is computed from them as in
+    confusion_at_threshold would tally and BA comes from them as in
     balanced_accuracy, so each candidate's BA is the same float. Exact
     maximization over this finite set; ties go to the smallest threshold.
     Single-class validation cannot rank thresholds, so it falls back to 0.5
@@ -189,14 +175,12 @@ def select_threshold(scores, labels) -> ThresholdChoice:
         raise ValueError(f"length mismatch: {scores.shape} vs {labels.shape}")
     if scores.size == 0:
         raise ValueError("empty validation set")
-    classes = np.unique(labels)
-    if classes.size < 2:
+    if np.unique(labels).size < 2:
         return ThresholdChoice(t_max=0.5, achieved_ba=0.5,
                                n_candidates=0, degenerate=True)
     distinct = np.unique(scores)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
-    candidates = np.concatenate(([_EDGE], mids, [1.0 - _EDGE]))
-    candidates = np.unique(candidates)
+    candidates = np.unique(np.concatenate(([_EDGE], mids, [1.0 - _EDGE])))
 
     order = np.argsort(scores)
     pos_below = np.concatenate(([0], np.cumsum(labels[order] == 1)))
@@ -205,9 +189,8 @@ def select_threshold(scores, labels) -> ThresholdChoice:
     tn = below - fn
     n_pos = int(pos_below[-1])
     n_neg = scores.size - n_pos
-    # n_pos is 0 only for labels other than {0, 1}; TPR is then imputed as 0
-    tpr = (n_pos - fn) / n_pos if n_pos else np.zeros(candidates.size)
-    ba = (tpr + tn / n_neg) / 2.0
+    # n_pos is 0 only for labels other than {0, 1}; TPR is then imputed
+    _, _, (ba, _) = _balanced(n_pos - fn, n_neg - tn, tn, fn)
     best = int(np.argmax(ba))  # first maximum: the smallest threshold
     return ThresholdChoice(t_max=float(candidates[best]),
                            achieved_ba=float(ba[best]),
@@ -215,28 +198,30 @@ def select_threshold(scores, labels) -> ThresholdChoice:
 
 
 def group_metric_vectors(scores, labels, assignments, group_labels,
-                         t, n_total: int) -> dict[str, MetricVector]:
-    """One MetricVector per group, computed on that group's rows only.
+                         t, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The metric table of the groups: (values, flags), one row per group
+    in group_labels order, each computed on that group's rows only.
 
-    t is one threshold for every row or an array with one per row. PPR
-    uses n_total (whole dataset); PPREV uses the group's own scored-row
-    count. Group AUC ranks the group's own score/label pairs in row order.
-    A group with zero rows here gets the fully imputed vector.
+    assignments holds each row's index into group_labels. t is one
+    threshold for every row or an array with one per row. PPR uses
+    n_total (whole dataset); PPREV uses the group's own scored-row count.
+    Group AUC ranks the group's own score/label pairs in row order. A
+    group with zero rows here gets the fully imputed row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    assignments = np.asarray(assignments)
+    assignments = np.asarray(assignments, dtype=np.intp)
     if not (scores.shape == labels.shape == assignments.shape):
         raise ValueError("scores, labels, and assignments must align")
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), scores.shape)
-    out: dict[str, MetricVector] = {}
-    for k, name in enumerate(group_labels):
+    n_groups = len(group_labels)
+    pred = scores >= np.asarray(t, dtype=np.float64)
+    pos = labels == 1
+    # cell 2 * pred + pos: 0 = TN, 1 = FN, 2 = FP, 3 = TP
+    cells = np.bincount(4 * assignments + 2 * pred + pos,
+                        minlength=4 * n_groups).reshape(n_groups, 4)
+    tn, fn, fp, tp = cells.T
+    auc, auc_flags = np.full(n_groups, 0.5), np.ones(n_groups, dtype=bool)
+    for k in np.flatnonzero(cells.any(axis=1)):
         mask = assignments == k
-        if not mask.any():
-            out[name] = empty_metric_vector()
-            continue
-        g_scores, g_labels = scores[mask], labels[mask]
-        auc, auc_flag = auc_or_default(g_scores, g_labels)
-        counts = confusion_at_threshold(g_scores, g_labels, t[mask])
-        out[name] = compute_metric_vector(counts, auc, n_total, auc_flag)
-    return out
+        auc[k], auc_flags[k] = auc_or_default(scores[mask], labels[mask])
+    return metric_table(tp, fp, tn, fn, auc, auc_flags, n_total)

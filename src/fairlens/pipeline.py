@@ -103,8 +103,7 @@ def cluster_record(matrix, axis: str) -> tuple[DistanceVector, Linkage, dict]:
     Returns the distance vector, the linkage and their two record entries
     (col_distance and col_linkage, or row_distance and row_linkage).
     """
-    labels = (matrix.metric_names if axis == "columns"
-              else tuple(str(r) for r in matrix.rows))
+    labels = matrix.metric_names if axis == "columns" else matrix.rows
     dist = correlation_distance(matrix.values, axis, labels)
     link = upgma(dist)
     key = "col" if axis == "columns" else "row"
@@ -141,16 +140,16 @@ def pca_record(matrix, ref_kind: str, kinds, group_labels: tuple[str, ...],
     }
 
 
-def cell_record(vectors: dict, provenance: Provenance,
+def cell_record(tables: dict, provenance: Provenance,
                 group_labels: tuple[str, ...], reference: str,
                 plot_kinds: list[str]) -> tuple[dict, DistanceVector]:
     """One (dataset, feature, seed) bundle record: matrix, trees, PCA.
 
-    vectors maps model -> group -> MetricVector. Also returns the column
-    distance vector, which the robustness summary correlates across cells.
+    tables maps model -> its (values, flags) metric table. Also returns
+    the column distance vector, which the robustness summary correlates
+    across cells.
     """
-    matrix = assemble_matrix(vectors, feature=provenance.feature,
-                             group_order=group_labels, provenance=provenance)
+    matrix = assemble_matrix(tables, group_labels, provenance)
     col_dist, _, col_entries = cluster_record(matrix, "columns")
     _, _, row_entries = cluster_record(matrix, "rows")
     try:
@@ -167,7 +166,7 @@ def cell_record(vectors: dict, provenance: Provenance,
         full_ratios = None
     record = {
         "seed": provenance.seed,
-        "rows": [str(r) for r in matrix.rows],
+        "rows": list(matrix.rows),
         "values": [[float(v) for v in row] for row in matrix.values],
         "flags": [[bool(b) for b in row] for row in matrix.flags],
         "column_variances": [float(v) for v in matrix.column_variances],
@@ -492,13 +491,13 @@ def run_pipeline(config: RunConfig) -> tuple[dict | None, list[dict]]:
                 gi = groups[feature]
                 fold_groups = [gi.assignments[sp.test] for sp in splits]
                 try:
-                    vectors = {kind: aggregate_over_folds(
+                    tables = {kind: aggregate_over_folds(
                         kind_results[kind].fold_test_scores, fold_labels,
                         fold_groups,
                         [t.t_max for t in kind_results[kind].thresholds],
                         gi.labels, n) for kind in surviving}
                     record, col_dist = cell_record(
-                        vectors, Provenance(dataset=name, feature=feature,
+                        tables, Provenance(dataset=name, feature=feature,
                                             seed=seed),
                         gi.labels, gi.reference, plot_kinds)
                 except (ValueError, RuntimeError, ArithmeticError) as exc:
@@ -582,11 +581,11 @@ def audit_predictions(scores: dict[str, np.ndarray], y: np.ndarray,
                 f"feature {feature!r} has a single group; nothing to compare")
         reference = labels[0]
 
-        vectors = {m: aggregate_over_folds(
+        tables = {m: aggregate_over_folds(
             [scores[m][metric_mask]], [y_m], [assign], [thresholds[m].t_max],
             labels, n_total) for m in models}
         record, col_dist = cell_record(
-            vectors, Provenance(dataset=dataset_name, feature=feature, seed=0),
+            tables, Provenance(dataset=dataset_name, feature=feature, seed=0),
             labels, reference, plot_kinds)
         col_vectors[(dataset_name, feature)] = {0: col_dist}
         features_out.append(feature_entry(feature, reference, labels, sizes,

@@ -53,11 +53,6 @@ def _key(acc: int) -> tuple[int, int]:
     return _splitmix64(acc), _splitmix64(acc ^ 0xD1B54A32D192ED03)
 
 
-def stream_key(*ids: int | str) -> tuple[int, int]:
-    """Mix stream identifiers into a 2x64-bit Philox key."""
-    return _key(_fold_ids(_KEY_START, ids))
-
-
 class Stream:
     """A deterministic source of raw 64-bit words and derived draws."""
 

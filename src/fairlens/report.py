@@ -24,7 +24,7 @@ from jsonschema import ValidationError, validate as _schema_validate
 
 from . import METRIC_NAMES
 from .cluster import Linkage, leaf_order
-from .fairmatrix import (MetricsMatrix, Provenance, RowKey, kind_sort_key,
+from .fairmatrix import (MetricsMatrix, Provenance, kind_sort_key,
                          matrix_csv_text)
 from .ingest import is_path_component
 from .pca import AlignedProjection
@@ -124,7 +124,7 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
     margin = 10
     title_h = 20
     label_bottom = 118
-    label_right = 8 + 7 * max(len(str(r)) for r in matrix.rows)
+    label_right = 8 + 7 * max(len(r) for r in matrix.rows)
     x0 = margin + dend
     y0 = margin + title_h + dend
     width = x0 + n_cols * cw + label_right + margin
@@ -194,7 +194,7 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
     xl = x0 + n_cols * cw + 6
     for di, ri in enumerate(row_order):
         y = y0 + (di + 0.5) * ch + 4
-        out.append(f'<text x="{_fmt(xl)}" y="{_fmt(y)}">{_esc(str(matrix.rows[ri]))}</text>')
+        out.append(f'<text x="{_fmt(xl)}" y="{_fmt(y)}">{_esc(matrix.rows[ri])}</text>')
     out.append("</g>")
 
     # color scale strip
@@ -614,7 +614,8 @@ def load_bundle(path: str | Path) -> dict:
     A file that is not JSON or fails BUNDLE_SCHEMA raises BundleError.
     Dataset and feature names become directories under the output
     directory of report, cluster and pca, so a name that is not a single
-    directory name raises BundleError too.
+    directory name raises BundleError too, and so does a result record
+    whose parts disagree (_cell_fault).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -632,19 +633,48 @@ def load_bundle(path: str | Path) -> dict:
             if not is_path_component(name):
                 raise BundleError(f"{path}: name {name!r} cannot be a "
                                   f"directory name")
+        for feat in ds["features"]:
+            for rec in feat["results"]:
+                fault = _cell_fault(rec)
+                if fault:
+                    raise BundleError(f"{path}: {ds['name']}/{feat['name']}/"
+                                      f"seed{rec['seed']}: {fault}")
     return bundle
+
+
+def _cell_fault(rec: dict) -> str | None:
+    """How a result record's parts disagree with each other, or None.
+
+    Row keys are "model:group"; values and flags have one 13-entry row
+    per row key and column_variances one entry per metric; each linkage
+    over n leaves has n - 1 merges, and merge s joins ids below n + s.
+    """
+    n, j = len(rec["rows"]), len(METRIC_NAMES)
+    if not all(":" in key for key in rec["rows"]):
+        return 'a row key is not "model:group"'
+    for part in ("values", "flags"):
+        if len(rec[part]) != n or not all(
+                isinstance(row, list) and len(row) == j for row in rec[part]):
+            return f"{part} is not {n} x {j}"
+    if len(rec["column_variances"]) != j:
+        return f"column_variances does not have {j} entries"
+    for part, leaves in (("col_linkage", j), ("row_linkage", n)):
+        merges = rec[part]
+        if len(merges) != leaves - 1 or not all(
+                isinstance(m, list) and len(m) == 4
+                and all(isinstance(i, int) and 0 <= i < leaves + s
+                        for i in m[:2])
+                for s, m in enumerate(merges)):
+            return f"{part} is not a tree over {leaves} leaves"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # rehydration from bundle records + full rendering pass
 
 def matrix_from_record(dataset: str, feature: str, rec: dict) -> MetricsMatrix:
-    rows = []
-    for key in rec["rows"]:
-        model, group = key.split(":", 1)
-        rows.append(RowKey(group=group, model=model, protected_feature=feature))
     return MetricsMatrix(
-        rows=tuple(rows),
+        rows=tuple(rec["rows"]),
         metric_names=METRIC_NAMES,
         values=np.asarray(rec["values"], dtype=np.float64),
         flags=np.asarray(rec["flags"], dtype=bool),

@@ -22,9 +22,9 @@ import pytest
 from fairlens import METRIC_NAMES
 from fairlens.cli import audit_external_predictions, main
 from fairlens.cluster import condensed_index, cut_clusters
-from fairlens.metrics import (ConfusionCounts, compute_metric_vector,
-                              confusion_at_threshold, balanced_accuracy,
-                              mann_whitney_auc, select_threshold)
+from fairlens.metrics import (confusion_at_threshold, balanced_accuracy,
+                              mann_whitney_auc, metric_table,
+                              select_threshold)
 from fairlens.pca import fit_pca
 from fairlens.rand import Stream
 from fairlens.report import (linkage_from_record, load_bundle,
@@ -38,7 +38,7 @@ COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"),
 
 def row_index(m, model, group):
     """The row of (model, group) in the metrics matrix m."""
-    return [(r.model, r.group) for r in m.rows].index((model, group))
+    return m.rows.index(f"{model}:{group}")
 
 
 def check_complement_variances(m, tol):
@@ -103,31 +103,35 @@ def iter_matrices(bundle):
 def test_criterion_01_metric_identities_hold_on_random_counts():
     rng = np.random.default_rng(101)
     started = time.perf_counter()
-    names = list(METRIC_NAMES)
-    idx = {n: names.index(n) for n in names}
-    checked = 0
-    for _ in range(1000):
-        tp, fp, tn, fn = (int(v) for v in rng.integers(0, 200, size=4))
-        n_g = tp + fp + tn + fn
-        if n_g == 0:
-            continue
-        n_total = n_g + int(rng.integers(0, 500))
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-        vec = compute_metric_vector(counts, auc=0.5, n_total=n_total)
-        v = vec.values
-        for a, b in COMPLEMENT_PAIRS:
-            ja, jb = idx[a], idx[b]
-            if not (vec.flags[ja] or vec.flags[jb]):
-                assert abs(v[ja] + v[jb] - 1.0) < 1e-12
-        assert abs(v[idx["A"]] - (tp + tn) / n_g) < 1e-12
-        if not vec.flags[idx["BA"]]:
-            assert abs(v[idx["BA"]]
-                       - (v[idx["TPR"]] + v[idx["TNR"]]) / 2.0) < 1e-12
-        assert abs(v[idx["PPR"]] * n_total - (tp + fp)) < 1e-12
-        assert abs(v[idx["PPREV"]] * n_g - (tp + fp)) < 1e-12
-        assert abs(v[idx["PPR"]] * n_total
-                   - v[idx["PPREV"]] * n_g) < 1e-12
-        checked += 1
+    idx = {n: j for j, n in enumerate(METRIC_NAMES)}
+    # one batch of 1000 count rows; every 50th is an all-zero (empty) group
+    tp, fp, tn, fn = rng.integers(0, 200, size=(4, 1000))
+    for c in (tp, fp, tn, fn):
+        c[::50] = 0
+    n_g = tp + fp + tn + fn
+    n_total = int(n_g.max()) + int(rng.integers(0, 500))
+    values, flags = metric_table(tp, fp, tn, fn, np.full(n_g.size, 0.5),
+                                 np.zeros(n_g.size, dtype=bool), n_total)
+    empty = n_g == 0
+    assert flags[empty].all()
+    assert np.all(values[empty][:, idx["AUC"]] == 0.5)
+    assert np.all(np.delete(values[empty], idx["AUC"], axis=1) == 0.0)
+    v, f, n_g = values[~empty], flags[~empty], n_g[~empty]
+    tp, fp, tn = tp[~empty], fp[~empty], tn[~empty]
+    for a, b in COMPLEMENT_PAIRS:
+        ja, jb = idx[a], idx[b]
+        ok = ~(f[:, ja] | f[:, jb])
+        assert np.all(np.abs(v[ok, ja] + v[ok, jb] - 1.0) < 1e-12)
+    assert np.all(np.abs(v[:, idx["A"]] - (tp + tn) / n_g) < 1e-12)
+    ok = ~f[:, idx["BA"]]
+    assert np.all(np.abs(v[ok, idx["BA"]]
+                         - (v[ok, idx["TPR"]] + v[ok, idx["TNR"]]) / 2.0)
+                  < 1e-12)
+    assert np.all(np.abs(v[:, idx["PPR"]] * n_total - (tp + fp)) < 1e-12)
+    assert np.all(np.abs(v[:, idx["PPREV"]] * n_g - (tp + fp)) < 1e-12)
+    assert np.all(np.abs(v[:, idx["PPR"]] * n_total
+                         - v[:, idx["PPREV"]] * n_g) < 1e-12)
+    checked = int(n_g.size)
     elapsed = time.perf_counter() - started
     assert checked > 900
     assert elapsed < 1.0, f"identity sweep took {elapsed:.2f}s"

@@ -490,7 +490,7 @@ def test_audit_produces_exact_group_rates(tmp_path):
     m = matrix_from_record("audit", "grp", rec)
     tpr_j = list(m.metric_names).index("TPR")
     fpr_j = list(m.metric_names).index("FPR")
-    rows = {str(r): i for i, r in enumerate(m.rows)}
+    rows = {r: i for i, r in enumerate(m.rows)}
     assert abs(m.values[rows["ext:A"], tpr_j] - 0.9) < 1e-12
     assert abs(m.values[rows["ext:A"], fpr_j] - 0.1) < 1e-12
     assert abs(m.values[rows["ext:B"], tpr_j] - 0.6) < 1e-12
@@ -660,11 +660,38 @@ def test_loaded_bundle_names_cannot_escape_out(tmp_path):
             assert outside == [], (field, argv)
 
 
-@pytest.mark.parametrize("text", ["not json", '{"schema_version": 2}',
-                                  b"\xff\xfe"])
-def test_unreadable_bundle_exits_2(tmp_path, capsys, text):
+def _first_cell(bundle):
+    return bundle["datasets"][0]["features"][0]["results"][0]
+
+
+def _colonless_row_key(bundle):
+    rows = _first_cell(bundle)["rows"]
+    rows[0] = rows[0].replace(":", "-")
+
+
+def _short_values(bundle):
+    del _first_cell(bundle)["values"][-1]
+
+
+def _broken_col_linkage(bundle):
+    _first_cell(bundle)["col_linkage"] = [[0, 99, 0.5, 2]]
+
+
+@pytest.mark.parametrize("text", [
+    "not json", '{"schema_version": 2}', b"\xff\xfe",
+    # a run bundle edited so that it passes the schema but its parts disagree
+    pytest.param(_colonless_row_key, id="colonless-row-key"),
+    pytest.param(_short_values, id="short-values"),
+    pytest.param(_broken_col_linkage, id="broken-col-linkage"),
+])
+def test_unreadable_bundle_exits_2(tmp_path, capsys, request, text):
     path = tmp_path / "bad.json"
-    if isinstance(text, bytes):
+    if callable(text):
+        _, out = request.getfixturevalue("tiny_run")
+        bundle = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+        text(bundle)
+        path.write_text(json.dumps(bundle), encoding="utf-8")
+    elif isinstance(text, bytes):
         path.write_bytes(text)
     else:
         path.write_text(text, encoding="utf-8")

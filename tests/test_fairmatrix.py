@@ -15,26 +15,26 @@ from fairlens.fairmatrix import (
 from fairlens.metrics import (
     ConfusionCounts,
     auc_or_default,
-    compute_metric_vector,
     confusion_at_threshold,
-    empty_metric_vector,
     group_metric_vectors,
+    metric_table,
 )
 
 PROV = Provenance(dataset="toy", feature="race", seed=0)
 COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"), ("PPV", "FDR"), ("NPV", "FOR"))
+J = {name: j for j, name in enumerate(METRIC_NAMES)}
 
 
 def row_index(m, model, group):
     """The row of (model, group) in the metrics matrix m."""
-    return [(r.model, r.group) for r in m.rows].index((model, group))
+    return m.rows.index(f"{model}:{group}")
 
 
 def fairness_ratio(m, metric, group_g, group_h, model=None):
     """m_g(j) / m_h(j) for one model's rows (the first row's model by
     default); 1.0 signals parity, None an undefined ratio (zero
     denominator)."""
-    model = m.rows[0].model if model is None else model
+    model = m.rows[0].split(":")[0] if model is None else model
     j = m.metric_names.index(metric)
     den = m.values[row_index(m, model, group_h), j]
     if den == 0.0:
@@ -49,24 +49,28 @@ def check_complement_variances(m, tol):
             if abs(var[a] - var[b]) > tol]
 
 
-def random_vectors(rng, models, groups, n_total=100):
+def table(counts, aucs, n_total):
+    """The metric table of rows of (tp, fp, tn, fn) counts."""
+    tp, fp, tn, fn = np.array(counts).T
+    return metric_table(tp, fp, tn, fn, np.asarray(aucs, dtype=float),
+                        np.zeros(len(aucs), dtype=bool), n_total)
+
+
+def random_tables(rng, models, groups, n_total=100):
     out = {}
     for m in models:
-        out[m] = {}
-        for g in groups:
-            tp, fp, tn, fn = (int(x) for x in rng.integers(1, 20, size=4))
-            auc = float(rng.uniform(0.3, 1.0))
-            out[m][g] = compute_metric_vector(
-                ConfusionCounts(tp, fp, tn, fn), auc, n_total)
+        rows = [[rng.integers(1, 20, size=4), rng.uniform(0.3, 1.0)]
+                for _ in groups]
+        out[m] = table([c for c, _ in rows], [a for _, a in rows], n_total)
     return out
 
 
 def test_row_order_models_outer_groups_inner():
     rng = np.random.default_rng(0)
     groups = ("big", "mid", "small")
-    vecs = random_vectors(rng, ["mlp", "logit"], groups)
-    m = assemble_matrix(vecs, "race", groups, PROV)
-    assert [str(r) for r in m.rows] == [
+    vecs = random_tables(rng, ["mlp", "logit"], groups)
+    m = assemble_matrix(vecs, groups, PROV)
+    assert list(m.rows) == [
         "logit:big", "logit:mid", "logit:small",
         "mlp:big", "mlp:mid", "mlp:small",
     ]
@@ -77,26 +81,26 @@ def test_row_order_models_outer_groups_inner():
 def test_dimensions_g5_l2():
     rng = np.random.default_rng(1)
     groups = tuple(f"g{i}" for i in range(5))
-    vecs = random_vectors(rng, ["logit", "mlp"], groups)
-    m = assemble_matrix(vecs, "race", groups, PROV)
+    vecs = random_tables(rng, ["logit", "mlp"], groups)
+    m = assemble_matrix(vecs, groups, PROV)
     assert m.values.shape == (10, 13)
 
 
 def test_missing_pair_rejected():
     rng = np.random.default_rng(2)
-    vecs = random_vectors(rng, ["logit"], ("a", "b"))
-    del vecs["logit"]["b"]
-    with pytest.raises(ValueError, match="missing metric vector"):
-        assemble_matrix(vecs, "race", ("a", "b"), PROV)
+    vecs = random_tables(rng, ["logit"], ("a", "b"))
+    vecs["logit"] = tuple(part[:1] for part in vecs["logit"])
+    with pytest.raises(ValueError, match=r"'logit' is not \(2, 13\)"):
+        assemble_matrix(vecs, ("a", "b"), PROV)
 
 
 def test_external_model_names_sort_after_canonical_kinds():
     # audit mode assembles matrices for models trained elsewhere, so
     # arbitrary names are allowed; they order after the built-in kinds
     rng = np.random.default_rng(3)
-    vecs = random_vectors(rng, ["svm9", "nb", "avendor"], ("a", "b"))
-    m = assemble_matrix(vecs, "race", ("a", "b"), PROV)
-    model_order = [r.model for r in m.rows[::2]]
+    vecs = random_tables(rng, ["svm9", "nb", "avendor"], ("a", "b"))
+    m = assemble_matrix(vecs, ("a", "b"), PROV)
+    model_order = [r.split(":")[0] for r in m.rows[::2]]
     assert model_order == ["nb", "avendor", "svm9"]
 
 
@@ -105,15 +109,15 @@ def test_complement_column_variances_equal():
     for _ in range(50):
         groups = tuple(f"g{i}" for i in range(int(rng.integers(2, 6))))
         kinds = list(rng.choice(MODEL_KINDS, size=2, replace=False))
-        vecs = random_vectors(rng, kinds, groups)
-        m = assemble_matrix(vecs, "f", groups, PROV)
+        vecs = random_tables(rng, kinds, groups)
+        m = assemble_matrix(vecs, groups, PROV)
         assert check_complement_variances(m, tol=1e-12) == []
 
 
 def test_column_variance_is_population():
     rng = np.random.default_rng(5)
-    vecs = random_vectors(rng, ["logit"], ("a", "b", "c"))
-    m = assemble_matrix(vecs, "f", ("a", "b", "c"), PROV)
+    vecs = random_tables(rng, ["logit"], ("a", "b", "c"))
+    m = assemble_matrix(vecs, ("a", "b", "c"), PROV)
     j = METRIC_NAMES.index("TPR")
     col = m.values[:, j]
     assert m.column_variances[j] == pytest.approx(
@@ -123,11 +127,11 @@ def test_column_variance_is_population():
 def test_per_model_restriction_and_restack():
     rng = np.random.default_rng(6)
     groups = ("a", "b", "c")
-    vecs = random_vectors(rng, ["logit", "mlp", "nb"], groups)
-    m = assemble_matrix(vecs, "f", groups, PROV)
+    vecs = random_tables(rng, ["logit", "mlp", "nb"], groups)
+    m = assemble_matrix(vecs, groups, PROV)
     sub = per_model_matrix(m, "mlp")
     assert sub.values.shape == (3, 13)
-    assert [r.group for r in sub.rows] == list(groups)
+    assert list(sub.rows) == [f"mlp:{g}" for g in groups]
     stacked = np.vstack([per_model_matrix(m, k).values
                          for k in ("logit", "mlp", "nb")])
     assert np.array_equal(stacked, m.values)
@@ -136,35 +140,31 @@ def test_per_model_restriction_and_restack():
 
 
 def test_flags_propagate_through_restriction():
-    vecs = {
-        "logit": {
-            "a": compute_metric_vector(ConfusionCounts(0, 0, 3, 2), 0.5, 10),
-            "b": compute_metric_vector(ConfusionCounts(2, 1, 3, 2), 0.7, 10),
-        }
-    }
-    m = assemble_matrix(vecs, "f", ("a", "b"), PROV)
+    vecs = {"logit": table([(0, 0, 3, 2), (2, 1, 3, 2)], [0.5, 0.7], 10)}
+    m = assemble_matrix(vecs, ("a", "b"), PROV)
     sub = per_model_matrix(m, "logit")
     assert sub.flags[0, METRIC_NAMES.index("PPV")]
     assert not sub.flags[1, METRIC_NAMES.index("PPV")]
 
 
 def test_fairness_ratio_identity_and_arithmetic():
-    va = compute_metric_vector(ConfusionCounts(3, 1, 4, 2), 0.8, 20)
-    vecs = {"logit": {"a": va, "b": va}}
-    m = assemble_matrix(vecs, "f", ("a", "b"), PROV)
+    vecs = {"logit": table([(3, 1, 4, 2), (3, 1, 4, 2)], [0.8, 0.8], 20)}
+    m = assemble_matrix(vecs, ("a", "b"), PROV)
     for name in METRIC_NAMES:
         r = fairness_ratio(m, name, "a", "b")
         assert r == pytest.approx(1.0)
     # TPR 0.6 vs 0.8 -> 0.75
-    vb = compute_metric_vector(ConfusionCounts(4, 1, 4, 1), 0.8, 20)
-    m2 = assemble_matrix({"logit": {"a": va, "b": vb}}, "f", ("a", "b"), PROV)
+    m2 = assemble_matrix(
+        {"logit": table([(3, 1, 4, 2), (4, 1, 4, 1)], [0.8, 0.8], 20)},
+        ("a", "b"), PROV)
     assert fairness_ratio(m2, "TPR", "a", "b") == pytest.approx(0.6 / 0.8)
 
 
 def test_fairness_ratio_zero_denominator_undefined():
-    va = compute_metric_vector(ConfusionCounts(3, 1, 4, 2), 0.8, 20)
-    vb = compute_metric_vector(ConfusionCounts(2, 0, 5, 3), 0.8, 20)  # FPR 0
-    m = assemble_matrix({"logit": {"a": va, "b": vb}}, "f", ("a", "b"), PROV)
+    # group b has FPR 0
+    m = assemble_matrix(
+        {"logit": table([(3, 1, 4, 2), (2, 0, 5, 3)], [0.8, 0.8], 20)},
+        ("a", "b"), PROV)
     assert fairness_ratio(m, "FPR", "a", "b") is None
 
 
@@ -172,17 +172,25 @@ def one_group(fold_scores):
     return [np.zeros(len(s), dtype=np.int64) for s in fold_scores]
 
 
+def pooled(*args, **kwargs):
+    """aggregate_over_folds of a one-group cell: its row of values and of
+    flags, each by metric name."""
+    values, flags = aggregate_over_folds(*args, **kwargs)
+    assert values.shape == flags.shape == (1, 13)
+    return dict(zip(METRIC_NAMES, values[0])), dict(zip(METRIC_NAMES, flags[0]))
+
+
 def test_aggregate_pools_counts():
     scores = [np.array([0.9, 0.1]), np.array([0.8, 0.2])]
     labels = [np.array([1, 0]), np.array([1, 0])]
-    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.5],
-                             ["g"], n_total=4)["g"]
+    v, _ = pooled(scores, labels, one_group(scores), [0.5, 0.5], ["g"],
+                  n_total=4)
     assert v["TPR"] == 1.0
     assert v["A"] == 1.0
     assert v["AUC"] == 1.0
     # each row is judged against its own fold's threshold
-    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.85],
-                             ["g"], n_total=4)["g"]
+    v, _ = pooled(scores, labels, one_group(scores), [0.5, 0.85], ["g"],
+                  n_total=4)
     assert v["TPR"] == 0.5
     assert v["A"] == 0.75
     assert v["AUC"] == 1.0
@@ -191,18 +199,17 @@ def test_aggregate_pools_counts():
 def test_aggregate_skips_empty_folds():
     scores = [np.array([0.9, 0.7, 0.3, 0.6, 0.2]), np.array([])]
     labels = [np.array([1, 1, 0, 0, 1]), np.array([], dtype=np.int64)]
-    v = aggregate_over_folds(scores, labels, one_group(scores), [0.5, 0.99],
-                             ["g"], n_total=5)["g"]
+    v, f = pooled(scores, labels, one_group(scores), [0.5, 0.99], ["g"],
+                  n_total=5)
     assert v["A"] == pytest.approx(3 / 5)
-    assert not v.flagged("A")
+    assert not f["A"]
 
 
 def test_aggregate_all_empty_gives_flagged_vector():
     scores = [np.array([])] * 2
-    v = aggregate_over_folds(scores, [np.array([], dtype=np.int64)] * 2,
-                             one_group(scores), [0.5, 0.5], ["g"],
-                             n_total=10)["g"]
-    assert v.flags.all()
+    _, f = pooled(scores, [np.array([], dtype=np.int64)] * 2,
+                  one_group(scores), [0.5, 0.5], ["g"], n_total=10)
+    assert all(f.values())
 
 
 def test_aggregate_pooled_auc_matches_pair_oracle():
@@ -213,8 +220,8 @@ def test_aggregate_pooled_auc_matches_pair_oracle():
         scores = [rng.integers(0, 10, size=8) / 9.0 for _ in range(3)]
         labels = [rng.integers(0, 2, size=8) for _ in range(3)]
         labels[0][:2] = [0, 1]
-        v = aggregate_over_folds(scores, labels, one_group(scores),
-                                 [0.5] * 3, ["g"], n_total=24)["g"]
+        v, _ = pooled(scores, labels, one_group(scores), [0.5] * 3, ["g"],
+                      n_total=24)
         want = pair_count_auc(np.concatenate(scores), np.concatenate(labels))
         assert v["AUC"] == pytest.approx(want, abs=1e-12)
 
@@ -222,6 +229,9 @@ def test_aggregate_pooled_auc_matches_pair_oracle():
 def old_aggregate_over_folds(fold_counts, fold_scores, fold_labels, n_total):
     """Copy of the per-group pooling the fold-pooled aggregate_over_folds
     replaced: sum the fold counts, rank the concatenated fold scores."""
+    from tests.test_metrics import (old_compute_metric_vector,
+                                    old_empty_metric_vector)
+
     if not fold_counts:
         raise ValueError("need at least one fold")
     total = None
@@ -230,13 +240,13 @@ def old_aggregate_over_folds(fold_counts, fold_scores, fold_labels, n_total):
             continue
         total = c if total is None else ConfusionCounts(
             total.tp + c.tp, total.fp + c.fp, total.tn + c.tn, total.fn + c.fn)
-    if total is None or total.total == 0:
-        return empty_metric_vector()
+    if total is None or total.tp + total.fp + total.tn + total.fn == 0:
+        return old_empty_metric_vector()
     nonempty = [s for s in fold_scores if len(s) > 0]
     scores = np.concatenate(nonempty) if nonempty else np.array([])
     labels = np.concatenate([l for l in fold_labels if len(l) > 0]) if nonempty else np.array([])
     auc, auc_flag = auc_or_default(scores, labels)
-    return compute_metric_vector(total, auc, n_total, auc_flag)
+    return old_compute_metric_vector(total, auc, n_total, auc_flag)
 
 
 def fold_group_loop(fold_scores, fold_labels, fold_assignments, thresholds,
@@ -278,24 +288,24 @@ def test_aggregate_bit_identical_to_fold_group_loop():
         # thresholds on score values too, to exercise the inclusive rule
         thresholds = list(rng.integers(0, 23, size=n_folds) / 22.0)
         n_total = int(sizes.sum()) + 5
-        got = aggregate_over_folds(scores, labels, assign, thresholds, groups,
-                                   n_total)
+        values, flags = aggregate_over_folds(scores, labels, assign,
+                                             thresholds, groups, n_total)
         want = fold_group_loop(scores, labels, assign, thresholds, groups,
                                n_total)
-        assert list(got) == list(want)
-        for g in groups:
-            assert np.array_equal(got[g].values.view(np.int64),
-                                  want[g].values.view(np.int64)), (trial, g)
-            assert np.array_equal(got[g].flags, want[g].flags), (trial, g)
-        assert got["never"].flags.all()
+        assert values.shape == flags.shape == (len(want), 13)
+        for k, g in enumerate(groups):
+            assert np.array_equal(values[k].view(np.int64),
+                                  want[g][0].view(np.int64)), (trial, g)
+            assert np.array_equal(flags[k], want[g][1]), (trial, g)
+        assert flags[groups.index("never")].all()
         if np.any(np.concatenate(assign) == 3):
-            assert got["one_class"].flagged("AUC")
+            assert flags[groups.index("one_class"), J["AUC"]]
 
 
 def test_matrix_csv_round_trips_values():
     rng = np.random.default_rng(8)
-    vecs = random_vectors(rng, ["logit"], ("a", "b"))
-    m = assemble_matrix(vecs, "f", ("a", "b"), PROV)
+    vecs = random_tables(rng, ["logit"], ("a", "b"))
+    m = assemble_matrix(vecs, ("a", "b"), PROV)
     text = matrix_csv_text(m)
     lines = text.strip().split("\n")
     assert lines[0] == "row," + ",".join(METRIC_NAMES)
@@ -309,6 +319,6 @@ def test_group_vectors_feed_assembly():
     labels = np.array([1, 0, 1, 0, 1, 0])
     groups = np.array([0, 0, 1, 1, 0, 1])
     by_group = group_metric_vectors(scores, labels, groups, ["x", "y"], 0.5, 6)
-    m = assemble_matrix({"logit": by_group}, "f", ("x", "y"), PROV)
+    m = assemble_matrix({"logit": by_group}, ("x", "y"), PROV)
     assert m.values.shape == (2, 13)
     assert np.all(m.values >= 0) and np.all(m.values <= 1)

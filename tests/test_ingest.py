@@ -389,6 +389,26 @@ def test_spec_list_field_that_is_a_string_is_an_ingest_error(tmp_path, field,
         load_dataset_spec(p)
 
 
+@pytest.mark.parametrize("refs", ["race", ["race"], ["ab"]],
+                         ids=["string", "list", "list-of-pair-string"])
+def test_spec_reference_groups_that_is_not_an_object_is_an_ingest_error(
+        tmp_path, refs):
+    # dict() of a list of two-character strings reads ["ab"] as {"a": "b"}
+    spec_json = {
+        "name": "toy", "source_path": "toy.csv",
+        "columns": [{"name": "race", "kind": "categorical"},
+                    {"name": "y", "kind": "binary", "role": "label"}],
+        "label_column": "y", "positive_value": "1",
+        "positive_meaning": "punitive", "protected_features": ["race"],
+        "reference_groups": refs,
+    }
+    p = tmp_path / "toy.dataset.json"
+    p.write_text(json.dumps(spec_json), encoding="utf-8")
+    with pytest.raises(IngestError,
+                       match="reference_groups must be a JSON object"):
+        load_dataset_spec(p)
+
+
 # ---------------------------------------------------------------------------
 # oracle: the per-row encoding and group counting that code_column and
 # rank_groups replaced, kept as the reference the coded path must match

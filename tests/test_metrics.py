@@ -1,7 +1,8 @@
-"""Metric-layer contracts: confusion tallies, the 13-metric vector, AUC
+"""Metric-layer contracts: confusion tallies, the 13-metric table, AUC
 against a brute-force pair-counting oracle, threshold selection against
-an exhaustive grid sweep, and bit identity of the one-sort threshold sweep
-and the vectorised midrank AUC with the loops they replaced."""
+an exhaustive grid sweep, and bit identity of the one-sort threshold
+sweep, the vectorised midrank AUC and the group metric table with the
+loops they replaced."""
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from fairlens.metrics import (
     ThresholdChoice,
     auc_or_default,
     balanced_accuracy,
-    compute_metric_vector,
     confusion_at_threshold,
-    empty_metric_vector,
     group_metric_vectors,
     mann_whitney_auc,
+    metric_table,
     select_threshold,
 )
+
+J = {name: j for j, name in enumerate(METRIC_NAMES)}
 
 
 def pair_count_auc(scores, labels):
@@ -66,68 +68,75 @@ def test_confusion_length_mismatch():
         confusion_at_threshold([0.5, 0.5], [1], 0.5)
 
 
-# ------------------------------------------------------------- metric vector
+# -------------------------------------------------------------- metric table
 
 def test_metric_vector_oracle_values():
-    v = compute_metric_vector(ConfusionCounts(tp=3, fp=1, tn=4, fn=2),
-                              auc=0.9, n_total=10)
+    values, flags = metric_table(tp=3, fp=1, tn=4, fn=2, auc=0.9,
+                                 auc_flags=False, n_total=10)
     expect = {
         "AUC": 0.9, "A": 0.7, "BA": 0.7, "FPR": 0.2, "TPR": 0.6,
         "FNR": 0.4, "TNR": 0.8, "PPV": 0.75, "NPV": 2 / 3,
         "FDR": 0.25, "FOR": 1 / 3, "PPR": 0.4, "PPREV": 0.4,
     }
     for name, want in expect.items():
-        assert v[name] == pytest.approx(want, abs=1e-15), name
-    assert not v.flags.any()
+        assert values[J[name]] == pytest.approx(want, abs=1e-15), name
+    assert not flags.any()
 
 
 def test_ppr_vs_pprev_denominators():
     # group of 5 inside a dataset of 100, two positive predictions
-    v = compute_metric_vector(ConfusionCounts(tp=1, fp=1, tn=2, fn=1),
-                              auc=0.5, n_total=100)
-    assert v["PPREV"] == pytest.approx(0.4)
-    assert v["PPR"] == pytest.approx(0.02)
+    values, _ = metric_table(1, 1, 2, 1, 0.5, False, n_total=100)
+    assert values[J["PPREV"]] == pytest.approx(0.4)
+    assert values[J["PPR"]] == pytest.approx(0.02)
 
 
 def test_no_positive_predictions_imputed_and_flagged():
-    v = compute_metric_vector(ConfusionCounts(tp=0, fp=0, tn=3, fn=2),
-                              auc=0.5, n_total=5)
-    assert v["PPV"] == 0.0 and v.flagged("PPV")
-    assert v["FDR"] == 0.0 and v.flagged("FDR")
-    assert v["PPREV"] == 0.0 and not v.flagged("PPREV")
+    values, flags = metric_table(0, 0, 3, 2, 0.5, False, n_total=5)
+    assert values[J["PPV"]] == 0.0 and flags[J["PPV"]]
+    assert values[J["FDR"]] == 0.0 and flags[J["FDR"]]
+    assert values[J["PPREV"]] == 0.0 and not flags[J["PPREV"]]
 
 
-def test_all_zero_counts_rejected():
-    with pytest.raises(ValueError, match="all counts zero"):
-        compute_metric_vector(ConfusionCounts(0, 0, 0, 0), auc=0.5, n_total=10)
+def test_group_larger_than_n_total_rejected():
+    with pytest.raises(ValueError, match="smaller than group size"):
+        metric_table([0, 4], [0, 3], [0, 2], [0, 2], [0.5, 0.5],
+                     [False, False], n_total=10)
 
 
 def test_complement_identities_random_counts():
+    # one batch of count rows; every 20th is an all-zero (empty) group
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        tp, fp, tn, fn = (int(x) for x in rng.integers(0, 30, size=4))
-        if tp + fp + tn + fn == 0:
-            continue
-        v = compute_metric_vector(ConfusionCounts(tp, fp, tn, fn),
-                                  auc=0.5, n_total=200)
-        if tp + fn > 0:
-            assert abs(v["TPR"] + v["FNR"] - 1.0) < 1e-12
-        if tn + fp > 0:
-            assert abs(v["TNR"] + v["FPR"] - 1.0) < 1e-12
-        if tp + fp > 0:
-            assert abs(v["PPV"] + v["FDR"] - 1.0) < 1e-12
-        if tn + fn > 0:
-            assert abs(v["NPV"] + v["FOR"] - 1.0) < 1e-12
-        assert abs(v["BA"] - (v["TPR"] + v["TNR"]) / 2.0) < 1e-12
-        assert abs(v["A"] - (tp + tn) / (tp + fp + tn + fn)) < 1e-12
-        assert np.all(v.values >= 0.0) and np.all(v.values <= 1.0)
+    tp, fp, tn, fn = rng.integers(0, 30, size=(4, 300))
+    for c in (tp, fp, tn, fn):
+        c[::20] = 0
+    values, flags = metric_table(tp, fp, tn, fn, np.full(300, 0.5),
+                                 np.zeros(300, dtype=bool), n_total=200)
+    assert np.all(values >= 0.0) and np.all(values <= 1.0)
+    v = {name: values[:, j] for name, j in J.items()}
+    n_g = tp + fp + tn + fn
+    full = n_g > 0
+    for a, b, den in (("TPR", "FNR", tp + fn), ("TNR", "FPR", tn + fp),
+                      ("PPV", "FDR", tp + fp), ("NPV", "FOR", tn + fn)):
+        ok = den > 0
+        assert np.all(np.abs(v[a][ok] + v[b][ok] - 1.0) < 1e-12)
+        assert np.array_equal(flags[:, J[a]], ~ok)
+        assert np.array_equal(flags[:, J[b]], ~ok)
+    assert np.all(np.abs(v["BA"] - (v["TPR"] + v["TNR"]) / 2.0) < 1e-12)
+    assert np.all(np.abs(v["A"][full] - (tp + tn)[full] / n_g[full]) < 1e-12)
+    assert flags[~full].all()
 
 
 def test_empty_group_vector_fully_flagged():
-    v = empty_metric_vector()
-    assert v.flags.all()
-    assert v["AUC"] == 0.5
-    assert v["TPR"] == 0.0
+    # with n_total = 0 every denominator is zero; a division by zero would
+    # warn, and the warning filter makes that an error
+    for n_total in (10, 0):
+        values, flags = metric_table(0, 0, 0, 0, auc=0.9, auc_flags=False,
+                                     n_total=n_total)
+        assert flags.all()
+        assert values[J["AUC"]] == 0.5
+        assert values[J["TPR"]] == 0.0
+        assert np.all(np.delete(values, J["AUC"]) == 0.0)
+    assert balanced_accuracy(ConfusionCounts(0, 0, 0, 0)) == 0.0
 
 
 # ------------------------------------------------------------------- ROC/AUC
@@ -352,14 +361,17 @@ def test_group_vectors_symmetry():
     scores = np.array([0.9, 0.2, 0.7, 0.9, 0.2, 0.7])
     labels = np.array([1, 0, 0, 1, 0, 0])
     groups = np.array([0, 0, 0, 1, 1, 1])
-    out = group_metric_vectors(scores, labels, groups, ["a", "b"], 0.5, 6)
-    assert np.array_equal(out["a"].values, out["b"].values)
+    values, _ = group_metric_vectors(scores, labels, groups, ["a", "b"],
+                                     0.5, 6)
+    assert np.array_equal(values[0], values[1])
 
 
 def test_group_vectors_empty_group_flagged():
-    out = group_metric_vectors([0.9, 0.2], [1, 0], [0, 0], ["a", "b"], 0.5, 2)
-    assert out["b"].flags.all()
-    assert out["b"]["AUC"] == 0.5
+    values, flags = group_metric_vectors([0.9, 0.2], [1, 0], [0, 0],
+                                         ["a", "b"], 0.5, 2)
+    assert values.shape == flags.shape == (2, 13)
+    assert flags[1].all()
+    assert values[1, J["AUC"]] == 0.5
 
 
 def test_group_ppr_sums_to_total_rate():
@@ -368,11 +380,12 @@ def test_group_ppr_sums_to_total_rate():
     scores = rng.integers(0, 20, size=n) / 19.0
     labels = rng.integers(0, 2, size=n)
     groups = rng.integers(0, 3, size=n)
-    out = group_metric_vectors(scores, labels, groups, ["g0", "g1", "g2"], 0.4, n)
+    values, _ = group_metric_vectors(scores, labels, groups,
+                                     ["g0", "g1", "g2"], 0.4, n)
     total_pos_pred = int(np.sum(scores >= 0.4))
-    assert sum(v["PPR"] for v in out.values()) == pytest.approx(total_pos_pred / n, abs=1e-12)
+    assert values[:, J["PPR"]].sum() == pytest.approx(total_pos_pred / n, abs=1e-12)
     sizes = [int(np.sum(groups == k)) for k in range(3)]
-    weighted = sum(v["PPREV"] * s for v, s in zip(out.values(), sizes))
+    weighted = sum(v * s for v, s in zip(values[:, J["PPREV"]], sizes))
     assert weighted == pytest.approx(total_pos_pred, abs=1e-9)
 
 
@@ -380,9 +393,101 @@ def test_group_auc_is_within_group():
     scores = np.array([0.9, 0.1, 0.6, 0.4])
     labels = np.array([1, 0, 1, 0])
     groups = np.array([0, 0, 1, 1])
-    out = group_metric_vectors(scores, labels, groups, ["a", "b"], 0.5, 4)
-    assert out["a"]["AUC"] == 1.0
-    assert out["b"]["AUC"] == 1.0
+    values, _ = group_metric_vectors(scores, labels, groups, ["a", "b"],
+                                     0.5, 4)
+    assert values[0, J["AUC"]] == 1.0
+    assert values[1, J["AUC"]] == 1.0
+
+
+# The per-group path that the metric table replaced: one MetricVector-like
+# (values, flags) pair per group from scalar counts, kept as the
+# bit-identity oracle of group_metric_vectors.
+
+def old_rate(num, den):
+    if den == 0:
+        return 0.0, True
+    return num / den, False
+
+
+def old_compute_metric_vector(counts, auc, n_total, auc_flagged=False):
+    n_g = counts.tp + counts.fp + counts.tn + counts.fn
+    if n_g == 0:
+        raise ValueError("all counts zero; use empty_metric_vector for empty groups")
+    if n_total < n_g:
+        raise ValueError(f"n_total={n_total} smaller than group size {n_g}")
+    tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
+    a = (tp + tn) / n_g
+    tpr, f_tpr = old_rate(tp, tp + fn)
+    fnr, f_fnr = old_rate(fn, tp + fn)
+    tnr, f_tnr = old_rate(tn, tn + fp)
+    fpr, f_fpr = old_rate(fp, tn + fp)
+    ppv, f_ppv = old_rate(tp, tp + fp)
+    fdr, f_fdr = old_rate(fp, tp + fp)
+    npv, f_npv = old_rate(tn, tn + fn)
+    for_, f_for = old_rate(fn, tn + fn)
+    ba = (tpr + tnr) / 2.0
+    f_ba = f_tpr or f_tnr
+    ppr = (tp + fp) / n_total
+    pprev = (tp + fp) / n_g
+    values = np.array([auc, a, ba, fpr, tpr, fnr, tnr,
+                       ppv, npv, fdr, for_, ppr, pprev])
+    flags = np.array([auc_flagged, False, f_ba, f_fpr, f_tpr, f_fnr, f_tnr,
+                      f_ppv, f_npv, f_fdr, f_for, False, False])
+    return values, flags
+
+
+def old_empty_metric_vector():
+    values = np.zeros(len(METRIC_NAMES))
+    values[J["AUC"]] = 0.5
+    return values, np.ones(len(METRIC_NAMES), dtype=bool)
+
+
+def old_group_metric_vectors(scores, labels, assignments, group_labels, t,
+                             n_total):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    assignments = np.asarray(assignments)
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), scores.shape)
+    out = {}
+    for k, name in enumerate(group_labels):
+        mask = assignments == k
+        if not mask.any():
+            out[name] = old_empty_metric_vector()
+            continue
+        g_scores, g_labels = scores[mask], labels[mask]
+        auc, auc_flag = auc_or_default(g_scores, g_labels)
+        counts = confusion_at_threshold(g_scores, g_labels, t[mask])
+        out[name] = old_compute_metric_vector(counts, auc, n_total, auc_flag)
+    return out
+
+
+def test_group_table_bit_identical_to_per_group_loop():
+    rng = np.random.default_rng(19)
+    for case in range(1500):
+        n = int(rng.integers(1, 60))
+        n_groups = int(rng.integers(1, 6))
+        # few distinct scores, so ties and zero denominators are common
+        scores = rng.integers(0, 8, size=n) / 7.0
+        labels = rng.integers(0, 2, size=n)
+        assign = rng.integers(0, n_groups, size=n)
+        if n_groups > 1 and case % 3 == 0:
+            assign[assign == n_groups - 1] = 0   # an empty group
+        if case % 4 == 0:
+            labels[assign == 0] = case % 8 // 4  # a single-class group
+        t = (rng.integers(0, 15, size=n) / 14.0 if case % 2
+             else float(rng.integers(0, 15)) / 14.0)
+        n_total = n + int(rng.integers(0, 20))
+        groups = [f"g{k}" for k in range(n_groups)]
+        values, flags = group_metric_vectors(scores, labels, assign, groups,
+                                             t, n_total)
+        want = old_group_metric_vectors(scores, labels, assign, groups, t,
+                                        n_total)
+        want_values = np.array([want[g][0] for g in groups])
+        want_flags = np.array([want[g][1] for g in groups])
+        assert np.array_equal(values.view(np.int64),
+                              want_values.view(np.int64)), case
+        assert np.array_equal(flags.astype(np.int64),
+                              want_flags.astype(np.int64)), case
 
 
 def test_metric_names_order():

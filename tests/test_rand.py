@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from fairlens.rand import Stream, stream_key
+from fairlens.rand import Stream
+
+
+def key(stream):
+    """The Philox key a stream was started with."""
+    return stream._bg.state["state"]["key"].tolist()
 
 
 def test_same_ids_same_stream():
@@ -21,12 +26,12 @@ def test_different_ids_diverge():
 
 def test_key_type_tags_prevent_collision():
     # int 1 and string "1" must key different streams
-    assert stream_key(1) != stream_key("1")
+    assert key(Stream(1)) != key(Stream("1"))
 
 
 def test_rejects_unknown_id_type():
     with pytest.raises(TypeError):
-        stream_key(1.5)
+        Stream(1.5)
 
 
 def test_randbelow_bounds_and_coverage():
@@ -125,14 +130,11 @@ def test_choice_indices_in_range():
 def test_child_is_the_stream_of_the_joined_ids(parent, more, again):
     # a child folds only its own ids into its parent's, and a child of a
     # child does too; the keys and streams are those of the joined ids
-    def key(stream):
-        return stream._bg.state["state"]["key"].tolist()
-
     child = Stream(*parent).child(*more)
     grandchild = child.child(*again)
     for got, ids in ((child, parent + more),
                      (grandchild, parent + more + again)):
         want = Stream(*ids)
         assert got.ids == ids
-        assert key(got) == key(want) == list(stream_key(*ids))
+        assert key(got) == key(want)
         assert np.array_equal(got.raw(16), want.raw(16))

@@ -15,7 +15,6 @@ from jsonschema import ValidationError
 from fairlens import METRIC_NAMES
 from fairlens.cluster import correlation_distance, upgma
 from fairlens.fairmatrix import Provenance, assemble_matrix
-from fairlens.metrics import MetricVector
 from fairlens.pca import align_to_reference, component_cap, fit_pca, project
 from fairlens.report import (aligned_from_record, bundle_json_text,
                              export_bundle, heat_color,
@@ -29,32 +28,30 @@ PROV = Provenance(dataset="toy", feature="race", seed=0)
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def random_vectors(rng, kinds, groups, flag_one=False):
-    vecs = {}
+def random_tables(rng, kinds, groups, flag_one=False):
+    """A random (values, flags) metric table per kind."""
+    tables = {}
     for kind in kinds:
-        vecs[kind] = {}
-        for g in groups:
-            vals = rng.uniform(0.0, 1.0, size=13)
-            # keep the complement identities so assembly passes them through
-            for a, b in ((4, 5), (6, 3), (7, 9), (8, 10)):
-                vals[b] = 1.0 - vals[a]
-            flags = np.zeros(13, dtype=bool)
-            if flag_one:
-                flags[0] = True
-            vecs[kind][g] = MetricVector(values=vals, flags=flags)
-    return vecs
+        vals = rng.uniform(0.0, 1.0, size=(len(groups), 13))
+        # keep the complement identities so assembly passes them through
+        for a, b in ((4, 5), (6, 3), (7, 9), (8, 10)):
+            vals[:, b] = 1.0 - vals[:, a]
+        flags = np.zeros((len(groups), 13), dtype=bool)
+        if flag_one:
+            flags[:, 0] = True
+        tables[kind] = (vals, flags)
+    return tables
 
 
 def toy_matrix(rng, kinds=("logit", "mlp"), groups=("a", "b", "c", "d", "e"),
                flag_one=False):
-    vecs = random_vectors(rng, list(kinds), groups, flag_one=flag_one)
-    return assemble_matrix(vecs, "race", groups, PROV)
+    tables = random_tables(rng, list(kinds), groups, flag_one=flag_one)
+    return assemble_matrix(tables, groups, PROV)
 
 
 def toy_linkages(m):
     col = upgma(correlation_distance(m.values, "columns", m.metric_names))
-    row = upgma(correlation_distance(m.values, "rows",
-                                     tuple(str(r) for r in m.rows)))
+    row = upgma(correlation_distance(m.values, "rows", m.rows))
     return col, row
 
 
@@ -102,7 +99,7 @@ def test_clustermap_column_labels_carry_variance():
     for j, name in enumerate(m.metric_names):
         assert f"{name} ({m.column_variances[j]:.3f})" in svg
     for r in m.rows:
-        assert str(r) in svg
+        assert r in svg
 
 
 def test_clustermap_hatches_flagged_cells_only():
@@ -200,8 +197,7 @@ def tiny_bundle(rng):
     m = toy_matrix(rng, groups=("a", "b", "c"))
     col, row = toy_linkages(m)
     col_d = correlation_distance(m.values, "columns", m.metric_names)
-    row_d = correlation_distance(m.values, "rows",
-                                 tuple(str(r) for r in m.rows))
+    row_d = correlation_distance(m.values, "rows", m.rows)
     from fairlens.fairmatrix import per_model_matrix
 
     pca = fit_pca(per_model_matrix(m, "logit").values, 2)
@@ -211,7 +207,7 @@ def tiny_bundle(rng):
                                  pca.explained_variance_ratios)
     rec = {
         "seed": 0,
-        "rows": [str(r) for r in m.rows],
+        "rows": list(m.rows),
         "values": [[float(v) for v in row] for row in m.values],
         "flags": [[bool(v) for v in row] for row in m.flags],
         "column_variances": [float(v) for v in m.column_variances],
