@@ -340,7 +340,7 @@ def _update_cells(args, update) -> int:
 
 def _cmd_cluster(args) -> int:
     def update(dataset, feature, rec):
-        flat = recluster(rec, dataset, feature, args.axis, args.k)
+        flat = recluster(rec, args.axis, args.k)
         if args.k is not None:
             pairs = ", ".join(f"{lab}={c}" for lab, c in flat)
             print(f"{dataset}/{feature}/seed{rec['seed']} "
@@ -351,7 +351,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_pca(args) -> int:
     def update(dataset, feature, rec):
-        model = reproject(rec, dataset, feature, args.components)
+        model = reproject(rec, args.components)
         if model is None:
             return False
         ratios = ", ".join(f"{r:.3f}" for r in model.explained_variance_ratios)

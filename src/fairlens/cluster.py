@@ -6,9 +6,11 @@ uses the size-weighted Lance-Williams update, which is algebraically the
 mean over all cross pairs of original leaf distances; the test suite checks
 it against a naive direct-averaging reimplementation.
 
-Merge table convention: leaves are 0..n-1, the cluster created by merge
+Merge list convention: leaves are 0..n-1, the cluster created by merge
 step s gets id n+s; each merge records (left, right, height, size) with
-left < right. Heights are the merge distances and are non-decreasing.
+left < right. Heights are the merge distances and are non-decreasing. A
+tree over n leaves has n - 1 merges, so the functions that read one take
+n from its length; a bundle's col_linkage and row_linkage are such lists.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ class DistanceVector:
     @property
     def n_items(self) -> int:
         return len(self.labels)
-
-
-@dataclass
-class Linkage:
-    merges: tuple[tuple[int, int, float, int], ...]
-    n_leaves: int
 
 
 def condensed_index(n: int, i: int, j: int) -> int:
@@ -92,8 +88,9 @@ def correlation_distance(matrix: np.ndarray, axis: str,
                           degenerate_pairs=tuple(degenerate))
 
 
-def upgma(d: DistanceVector) -> Linkage:
-    """Average-linkage agglomeration over a condensed distance vector.
+def upgma(d: DistanceVector) -> list[tuple[int, int, float, int]]:
+    """Average-linkage agglomeration over a condensed distance vector; the
+    merge list over its n items has n - 1 entries.
 
     Ties on merge distance go to the smallest (left, right) cluster-id pair.
     """
@@ -130,16 +127,16 @@ def upgma(d: DistanceVector) -> Linkage:
         active.remove(b)
         active.append(new)
         active.sort()
-    return Linkage(merges=tuple(merges), n_leaves=n)
+    return merges
 
 
-def cut_clusters(linkage: Linkage, k: int) -> np.ndarray:
+def cut_clusters(merges, k: int) -> np.ndarray:
     """Flat assignment of leaves to k clusters, labeled 0..k-1 by first leaf.
 
     Applying the first n-k merges (the lowest, by monotonicity) leaves
     exactly k connected clusters.
     """
-    n = linkage.n_leaves
+    n = len(merges) + 1
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     parent = list(range(2 * n - 1))
@@ -151,7 +148,7 @@ def cut_clusters(linkage: Linkage, k: int) -> np.ndarray:
         return x
 
     for step in range(n - k):
-        a, b, _, _ = linkage.merges[step]
+        a, b, _, _ = merges[step]
         new = n + step
         parent[find(a)] = new
         parent[find(b)] = new
@@ -165,14 +162,14 @@ def cut_clusters(linkage: Linkage, k: int) -> np.ndarray:
     return labels
 
 
-def leaf_order(linkage: Linkage) -> list[int]:
+def leaf_order(merges) -> list[int]:
     """Display order: recursively place the smaller subtree first.
 
     Size ties are broken by the smaller minimum leaf index.
     """
-    n = linkage.n_leaves
+    n = len(merges) + 1
     children: dict[int, tuple[int, int]] = {}
-    for step, (a, b, _, _) in enumerate(linkage.merges):
+    for step, (a, b, _, _) in enumerate(merges):
         children[n + step] = (a, b)
 
     def leaves(node: int) -> list[int]:

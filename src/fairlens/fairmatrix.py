@@ -1,16 +1,15 @@
-"""Metrics-matrix assembly, fold pooling and column variances.
+"""Metrics-matrix assembly and fold pooling.
 
 The matrix M_p for protected feature p stacks each model's (groups, 13)
 metric table: one row per (model, group) pair, keyed "model:group" as in
 the bundle, models outer in canonical kind order, groups inner in their
-canonical order (descending size, then label). Column variances are
-population variances, which makes the complement-pair equality
-Var(c) = Var(1-c) an exact identity.
+canonical order (descending size, then label). The bundle's cell record
+holds the row keys, values and flags as assembled here; its column
+variances are population variances, which makes the complement-pair
+equality Var(c) = Var(1-c) an exact identity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,27 +25,14 @@ def kind_sort_key(kind: str) -> tuple[int, int, str]:
     return (1, 0, kind)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    dataset: str
-    feature: str
-    seed: int
-
-
-@dataclass
-class MetricsMatrix:
-    rows: tuple[str, ...]         # "model:group"
-    metric_names: tuple[str, ...]
-    values: np.ndarray            # I x J
-    flags: np.ndarray             # I x J bool
-    column_variances: np.ndarray  # J
-    provenance: Provenance
-
-
 def assemble_matrix(tables: dict[str, tuple[np.ndarray, np.ndarray]],
-                    group_order, provenance: Provenance) -> MetricsMatrix:
+                    group_order) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """Stack each model's metric table into M_p; tables maps model ->
-    (values, flags), each with one row per group of group_order."""
+    (values, flags), each with one row per group of group_order.
+
+    Returns the "model:group" row keys, the I x J values and the I x J
+    boolean flags.
+    """
     if not tables:
         raise ValueError("no model metric tables to assemble")
     models = sorted(tables, key=kind_sort_key)
@@ -54,31 +40,17 @@ def assemble_matrix(tables: dict[str, tuple[np.ndarray, np.ndarray]],
     for model in models:
         if any(np.shape(part) != shape for part in tables[model]):
             raise ValueError(f"metric table of {model!r} is not {shape}")
-    values = np.vstack([tables[m][0] for m in models])
-    return MetricsMatrix(
-        rows=tuple(f"{m}:{g}" for m in models for g in group_order),
-        metric_names=METRIC_NAMES,
-        values=values,
-        flags=np.vstack([tables[m][1] for m in models]),
-        column_variances=np.var(values, axis=0),
-        provenance=provenance,
-    )
+    return (tuple(f"{m}:{g}" for m in models for g in group_order),
+            np.vstack([tables[m][0] for m in models]),
+            np.vstack([tables[m][1] for m in models]))
 
 
-def per_model_matrix(m: MetricsMatrix, model: str) -> MetricsMatrix:
-    """Restrict M_p to one model's G rows, preserving group order."""
-    idx = [i for i, r in enumerate(m.rows) if r.startswith(model + ":")]
+def per_model_matrix(rows, values: np.ndarray, model: str) -> np.ndarray:
+    """One model's G value rows of M_p, in group order."""
+    idx = [i for i, r in enumerate(rows) if r.startswith(model + ":")]
     if not idx:
         raise ValueError(f"model {model!r} not present in matrix")
-    values = m.values[idx]
-    return MetricsMatrix(
-        rows=tuple(m.rows[i] for i in idx),
-        metric_names=m.metric_names,
-        values=values,
-        flags=m.flags[idx],
-        column_variances=np.var(values, axis=0),
-        provenance=m.provenance,
-    )
+    return values[idx]
 
 
 def aggregate_over_folds(
@@ -107,10 +79,11 @@ def aggregate_over_folds(
         n_total)
 
 
-def matrix_csv_text(m: MetricsMatrix) -> str:
-    """CSV export: one line per row key "model:group", 17-sig-digit values."""
-    lines = ["row," + ",".join(m.metric_names)]
-    for key, row in zip(m.rows, m.values):
+def matrix_csv_text(rec: dict) -> str:
+    """CSV export of a cell record: one line per row key "model:group",
+    17-sig-digit values."""
+    lines = ["row," + ",".join(METRIC_NAMES)]
+    for key, row in zip(rec["rows"], rec["values"]):
         cells = ",".join("%.17g" % v for v in row)
         lines.append(f"{key},{cells}")
     return "\n".join(lines) + "\n"

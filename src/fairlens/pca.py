@@ -5,7 +5,8 @@ model's matrix is projected with those same eigenvectors (and the source's
 column means), then each model's projection is translated so the reference
 group sits at the origin. Sign ambiguity of the SVD is fixed by requiring
 each eigenvector's largest-magnitude entry to be non-negative, which keeps
-repeated runs byte-identical.
+repeated runs byte-identical. The aligned coordinates go straight into the
+bundle's pca record (pipeline.pca_record), which the scatter plot reads.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ class PcaModel:
     @property
     def k(self) -> int:
         return self.eigenvectors.shape[0]
-
-
-@dataclass
-class AlignedProjection:
-    coords: dict[str, np.ndarray]  # model kind -> G x K
-    group_labels: tuple[str, ...]
-    reference: str
-    ratios: np.ndarray             # K
 
 
 def component_cap(n_groups: int) -> int:
@@ -84,9 +77,9 @@ def align_to_reference(
     projections: dict[str, np.ndarray],
     group_labels: tuple[str, ...] | list[str],
     reference: str,
-    ratios: np.ndarray,
-) -> AlignedProjection:
-    """Translate each model's projection so the reference group is the origin."""
+) -> dict[str, np.ndarray]:
+    """Translate each model's G x K projection so the reference group is
+    the origin."""
     if reference not in group_labels:
         raise ValueError(f"reference group {reference!r} not among groups")
     r = list(group_labels).index(reference)
@@ -98,8 +91,7 @@ def align_to_reference(
                 f"{len(group_labels)} groups"
             )
         aligned[model] = coords - coords[r]
-    return AlignedProjection(coords=aligned, group_labels=tuple(group_labels),
-                             reference=reference, ratios=np.asarray(ratios))
+    return aligned
 
 
 def full_matrix_pca(matrix: np.ndarray) -> PcaModel:

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import METRIC_NAMES, MODEL_KINDS
-from .cluster import (DistanceVector, Linkage, correlation_distance,
-                      cut_clusters, upgma)
-from .fairmatrix import (Provenance, aggregate_over_folds, assemble_matrix,
-                         kind_sort_key, per_model_matrix)
+from .cluster import DistanceVector, correlation_distance, cut_clusters, upgma
+from .fairmatrix import (aggregate_over_folds, assemble_matrix, kind_sort_key,
+                         per_model_matrix)
 from .ingest import (EncodedDataset, IngestError, encode_features,
                      extract_groups, fold_normalized, load_dataset,
                      load_dataset_spec, rank_groups)
@@ -40,7 +39,6 @@ from .models.base import predict_scores, sample_hypers
 from .models.search import FoldData, KindSearchOutcome, SearchReport, search_kind
 from .pca import (PcaModel, align_to_reference, component_cap, fit_pca,
                   full_matrix_pca, project)
-from .report import matrix_from_record
 from .robustness import aggregate_over_seeds, correlation_matrix
 from .splits import FoldSplit, kfold_splits
 
@@ -97,36 +95,38 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # bundle record builders, shared by run, audit, cluster and pca
 
-def cluster_record(matrix, axis: str) -> tuple[DistanceVector, Linkage, dict]:
-    """Correlation distances and the UPGMA tree along one axis.
+def cluster_record(rows, values: np.ndarray,
+                   axis: str) -> tuple[DistanceVector, list, dict]:
+    """Correlation distances and the UPGMA tree along one axis of the
+    matrix with these row keys and values.
 
-    Returns the distance vector, the linkage and their two record entries
-    (col_distance and col_linkage, or row_distance and row_linkage).
+    Returns the distance vector, the merge list and their two record
+    entries (col_distance and col_linkage, or row_distance and row_linkage).
     """
-    labels = matrix.metric_names if axis == "columns" else matrix.rows
-    dist = correlation_distance(matrix.values, axis, labels)
-    link = upgma(dist)
+    labels = METRIC_NAMES if axis == "columns" else rows
+    dist = correlation_distance(values, axis, labels)
+    merges = upgma(dist)
     key = "col" if axis == "columns" else "row"
-    return dist, link, {
+    return dist, merges, {
         f"{key}_distance": {
             "labels": list(dist.labels),
             "condensed": [float(v) for v in dist.condensed],
             "degenerate_pairs": [[i, j] for i, j in dist.degenerate_pairs],
         },
-        f"{key}_linkage": [[l, r, float(h), s] for l, r, h, s in link.merges],
+        f"{key}_linkage": [[l, r, float(h), s] for l, r, h, s in merges],
     }
 
 
-def pca_record(matrix, ref_kind: str, kinds, group_labels: tuple[str, ...],
-               reference: str, k: int) -> tuple[PcaModel, dict]:
-    """PCA fit on ref_kind's rows; kinds projected and shifted so the
-    reference group sits at the origin. Raises ValueError for a matrix
-    whose rows do not vary."""
-    model = fit_pca(per_model_matrix(matrix, ref_kind).values, k)
-    projections = {kind: project(per_model_matrix(matrix, kind).values, model)
+def pca_record(rows, values: np.ndarray, ref_kind: str, kinds,
+               group_labels: tuple[str, ...], reference: str,
+               k: int) -> tuple[PcaModel, dict]:
+    """PCA fit on ref_kind's rows of the matrix; kinds projected and
+    shifted so the reference group sits at the origin. Raises ValueError
+    for a matrix whose rows do not vary."""
+    model = fit_pca(per_model_matrix(rows, values, ref_kind), k)
+    projections = {kind: project(per_model_matrix(rows, values, kind), model)
                    for kind in kinds}
-    aligned = align_to_reference(projections, group_labels, reference,
-                                 model.explained_variance_ratios)
+    coords = align_to_reference(projections, group_labels, reference)
     return model, {
         "reference_model": ref_kind,
         "reference_group": reference,
@@ -135,13 +135,13 @@ def pca_record(matrix, ref_kind: str, kinds, group_labels: tuple[str, ...],
         "column_means": [float(v) for v in model.column_means],
         "ratios": [float(v) for v in model.explained_variance_ratios],
         "group_labels": list(group_labels),
-        "coords": {kind: [[float(v) for v in row] for row in aligned.coords[kind]]
+        "coords": {kind: [[float(v) for v in row] for row in coords[kind]]
                    for kind in kinds},
     }
 
 
-def cell_record(tables: dict, provenance: Provenance,
-                group_labels: tuple[str, ...], reference: str,
+def cell_record(tables: dict, seed: int, group_labels: tuple[str, ...],
+                reference: str,
                 plot_kinds: list[str]) -> tuple[dict, DistanceVector]:
     """One (dataset, feature, seed) bundle record: matrix, trees, PCA.
 
@@ -149,27 +149,28 @@ def cell_record(tables: dict, provenance: Provenance,
     the column distance vector, which the robustness summary correlates
     across cells.
     """
-    matrix = assemble_matrix(tables, group_labels, provenance)
-    col_dist, _, col_entries = cluster_record(matrix, "columns")
-    _, _, row_entries = cluster_record(matrix, "rows")
+    rows, values, flags = assemble_matrix(tables, group_labels)
+    col_dist, _, col_entries = cluster_record(rows, values, "columns")
+    _, _, row_entries = cluster_record(rows, values, "rows")
     try:
-        _, pca = pca_record(matrix, plot_kinds[0], plot_kinds, group_labels,
-                            reference, component_cap(len(group_labels)))
+        _, pca = pca_record(rows, values, plot_kinds[0], plot_kinds,
+                            group_labels, reference,
+                            component_cap(len(group_labels)))
     except ValueError:
         # zero-variance matrix (all group rows identical): projection
         # undefined, but the matrix and its clustering still stand
         pca = None
     try:
         full_ratios = [float(v) for v in
-                       full_matrix_pca(matrix.values).explained_variance_ratios]
+                       full_matrix_pca(values).explained_variance_ratios]
     except ValueError:
         full_ratios = None
     record = {
-        "seed": provenance.seed,
-        "rows": list(matrix.rows),
-        "values": [[float(v) for v in row] for row in matrix.values],
-        "flags": [[bool(b) for b in row] for row in matrix.flags],
-        "column_variances": [float(v) for v in matrix.column_variances],
+        "seed": seed,
+        "rows": list(rows),
+        "values": [[float(v) for v in row] for row in values],
+        "flags": [[bool(b) for b in row] for row in flags],
+        "column_variances": [float(v) for v in np.var(values, axis=0)],
         **col_entries, **row_entries,
         "pca": pca,
         "full_pca_ratios": full_ratios,
@@ -243,12 +244,12 @@ def _robustness_summary(col_vectors: dict, seeds) -> dict | None:
         return None
     matrices = [correlation_matrix([col_vectors[c][s] for c in conditions])
                 for s in seeds]
-    summary = aggregate_over_seeds(tuple(conditions), matrices)
+    mean, std = aggregate_over_seeds(conditions, matrices)
     return {
-        "conditions": [[d, f] for d, f in summary.conditions],
-        "n_seeds": summary.n_seeds,
-        "mean": [[float(v) for v in row] for row in summary.mean],
-        "std": [[float(v) for v in row] for row in summary.std],
+        "conditions": [[d, f] for d, f in conditions],
+        "n_seeds": len(matrices),
+        "mean": [[float(v) for v in row] for row in mean],
+        "std": [[float(v) for v in row] for row in std],
     }
 
 
@@ -276,23 +277,21 @@ def bundle_dict(mode: str, datasets: list[dict], training: list[dict],
     }
 
 
-def recluster(rec: dict, dataset: str, feature: str, cut_axis: str,
-              k: int | None) -> list[tuple[str, int]]:
+def recluster(rec: dict, cut_axis: str, k: int | None) -> list[tuple[str, int]]:
     """Recompute a record's distances and trees in place; with k, also
     return the (label, cluster) pairs of a k-cluster cut along cut_axis."""
-    matrix = matrix_from_record(dataset, feature, rec)
+    values = np.asarray(rec["values"], dtype=np.float64)
     flat: list[tuple[str, int]] = []
     for axis in ("columns", "rows"):
-        dist, link, entries = cluster_record(matrix, axis)
+        dist, merges, entries = cluster_record(rec["rows"], values, axis)
         rec.update(entries)
         if k is not None and axis == cut_axis:
             flat = [(lab, int(c)) for lab, c in
-                    zip(dist.labels, cut_clusters(link, k))]
+                    zip(dist.labels, cut_clusters(merges, k))]
     return flat
 
 
-def reproject(rec: dict, dataset: str, feature: str,
-              components: int | None) -> PcaModel | None:
+def reproject(rec: dict, components: int | None) -> PcaModel | None:
     """Refit a record's PCA in place with at most `components` components
     (default: the cap for its group count); None when it has no PCA."""
     pca = rec["pca"]
@@ -301,9 +300,9 @@ def reproject(rec: dict, dataset: str, feature: str,
     group_labels = tuple(pca["group_labels"])
     cap = component_cap(len(group_labels))
     model, rec["pca"] = pca_record(
-        matrix_from_record(dataset, feature, rec), pca["reference_model"],
-        sorted(pca["coords"], key=kind_sort_key), group_labels,
-        pca["reference_group"],
+        rec["rows"], np.asarray(rec["values"], dtype=np.float64),
+        pca["reference_model"], sorted(pca["coords"], key=kind_sort_key),
+        group_labels, pca["reference_group"],
         cap if components is None else min(components, cap))
     return model
 
@@ -497,9 +496,7 @@ def run_pipeline(config: RunConfig) -> tuple[dict | None, list[dict]]:
                         [t.t_max for t in kind_results[kind].thresholds],
                         gi.labels, n) for kind in surviving}
                     record, col_dist = cell_record(
-                        tables, Provenance(dataset=name, feature=feature,
-                                            seed=seed),
-                        gi.labels, gi.reference, plot_kinds)
+                        tables, seed, gi.labels, gi.reference, plot_kinds)
                 except (ValueError, RuntimeError, ArithmeticError) as exc:
                     fail(name, feature, seed, "metrics", exc)
                     log.error("cell (%s, %s, seed %d) failed: %s",
@@ -584,9 +581,8 @@ def audit_predictions(scores: dict[str, np.ndarray], y: np.ndarray,
         tables = {m: aggregate_over_folds(
             [scores[m][metric_mask]], [y_m], [assign], [thresholds[m].t_max],
             labels, n_total) for m in models}
-        record, col_dist = cell_record(
-            tables, Provenance(dataset=dataset_name, feature=feature, seed=0),
-            labels, reference, plot_kinds)
+        record, col_dist = cell_record(tables, 0, labels, reference,
+                                       plot_kinds)
         col_vectors[(dataset_name, feature)] = {0: col_dist}
         features_out.append(feature_entry(feature, reference, labels, sizes,
                                           [record]))

@@ -95,12 +95,9 @@ class Stream:
         """Uniform integer in [lo, hi] inclusive."""
         return lo + self.randbelow(hi - lo + 1)
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0, size: int | None = None):
-        """Uniform floats in [lo, hi) from the top 53 bits of raw words."""
-        if size is None:
-            u = (self._next_word() >> 11) * 2.0**-53
-            return lo + (hi - lo) * u
-        u = (self.raw(size) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """Uniform float in [lo, hi) from the top 53 bits of a raw word."""
+        u = (self._next_word() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
     def normal(self, size: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Deterministic SVG figures and the serialized audit bundle.
 
-Every renderer is a pure function of its inputs: no timestamps, no
-generated ids, stable float formatting. Rendering the same bundle twice
-yields byte-identical files, which is what the determinism contract and
-the tests rely on.
+Every renderer is a pure function of bundle records: the clustermap and
+matrix.csv read a cell record, the scatter its pca record and the
+robustness heatmap the robustness record, as load_bundle returns them or
+as fairlens.pipeline builds them. No timestamps, no generated ids, stable
+float formatting: rendering the same bundle twice yields byte-identical
+files, which is what the determinism contract and the tests rely on.
+load_bundle checks every record a renderer reads, so a figure is drawn
+only from records whose types and shapes agree.
 
 Heatmap color scale (fixed, documented): piecewise-linear interpolation
 through the anchors 0.00 #0d0887, 0.25 #7e03a8, 0.50 #cc4778,
@@ -20,15 +24,13 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
-from jsonschema import ValidationError, validate as _schema_validate
+from jsonschema import Draft202012Validator, ValidationError
+from jsonschema.exceptions import best_match
 
 from . import METRIC_NAMES
-from .cluster import Linkage, leaf_order
-from .fairmatrix import (MetricsMatrix, Provenance, kind_sort_key,
-                         matrix_csv_text)
+from .cluster import leaf_order
+from .fairmatrix import kind_sort_key, matrix_csv_text
 from .ingest import is_path_component
-from .pca import AlignedProjection
-from .robustness import CorrelationSummary
 
 _HEAT_ANCHORS = (
     (0.00, (13, 8, 135)),
@@ -71,23 +73,23 @@ def _esc(s: str) -> str:
     return escape(str(s), {'"': "&quot;"})
 
 
-def _dendrogram_paths(linkage: Linkage, positions: dict[int, float],
+def _dendrogram_paths(merges: list, positions: dict[int, float],
                       span: float, horizontal: bool,
                       base: float, sign: float) -> list[str]:
-    """One bracket path per merge.
+    """One bracket path per merge of a merge list.
 
     positions maps leaf id -> center coordinate along the leaf axis;
     heights are scaled into `span` pixels away from `base` along the
     other axis (direction `sign`).
     """
-    hmax = max((m[2] for m in linkage.merges), default=0.0)
+    hmax = max((m[2] for m in merges), default=0.0)
     if hmax <= 0.0:
         hmax = 1.0
     pos = dict(positions)
     depth = {i: base for i in positions}
     paths = []
-    n = linkage.n_leaves
-    for s, (a, b, h, _size) in enumerate(linkage.merges):
+    n = len(merges) + 1
+    for s, (a, b, h, _size) in enumerate(merges):
         y = base + sign * (4.0 + (h / hmax) * (span - 8.0))
         xa, xb = pos[a], pos[b]
         ya, yb = depth[a], depth[b]
@@ -104,27 +106,25 @@ def _dendrogram_paths(linkage: Linkage, positions: dict[int, float],
     return paths
 
 
-def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
-                          row_linkage: Linkage,
-                          col_variances: np.ndarray | None = None) -> str:
-    """Heatmap of M_p with dendrograms, per-metric variances in the labels.
+def render_clustermap_svg(rec: dict, title: str) -> str:
+    """Heatmap of a cell record's M_p with dendrograms, per-metric
+    variances in the labels.
 
     Cell order follows the deterministic leaf order of both linkages.
     Flagged (imputed) cells get a hatched overlay.
     """
-    values = matrix.values
-    n_rows, n_cols = values.shape
-    if col_linkage.n_leaves != n_cols or row_linkage.n_leaves != n_rows:
+    rows, values, flags = rec["rows"], rec["values"], rec["flags"]
+    col_linkage, row_linkage = rec["col_linkage"], rec["row_linkage"]
+    n_rows, n_cols = len(rows), len(METRIC_NAMES)
+    if len(col_linkage) != n_cols - 1 or len(row_linkage) != n_rows - 1:
         raise ValueError("linkage sizes do not match the matrix")
-    if col_variances is None:
-        col_variances = matrix.column_variances
 
     cw, ch = 34, 22
     dend = 78
     margin = 10
     title_h = 20
     label_bottom = 118
-    label_right = 8 + 7 * max(len(r) for r in matrix.rows)
+    label_right = 8 + 7 * max(len(r) for r in rows)
     x0 = margin + dend
     y0 = margin + title_h + dend
     width = x0 + n_cols * cw + label_right + margin
@@ -132,9 +132,6 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
 
     col_order = leaf_order(col_linkage)
     row_order = leaf_order(row_linkage)
-
-    p = matrix.provenance
-    title = f"{p.dataset} / {p.feature} / seed {p.seed} (micro-averaged)"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -167,13 +164,13 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
         for dj, cj in enumerate(col_order):
             x = x0 + dj * cw
             y = y0 + di * ch
-            v = float(values[ri, cj])
-            tip = f"{matrix.rows[ri]} {matrix.metric_names[cj]}={v:.6g}"
+            v = float(values[ri][cj])
+            tip = f"{rows[ri]} {METRIC_NAMES[cj]}={v:.6g}"
             out.append(
                 f'<rect class="cell" x="{_fmt(x)}" y="{_fmt(y)}" width="{cw}" '
                 f'height="{ch}" fill="{heat_color(v)}" stroke="#ffffff" '
                 f'stroke-width="0.5"><title>{_esc(tip)}</title></rect>')
-            if bool(matrix.flags[ri, cj]):
+            if flags[ri][cj]:
                 out.append(
                     f'<rect class="flag" x="{_fmt(x)}" y="{_fmt(y)}" width="{cw}" '
                     f'height="{ch}" fill="url(#hatch)"/>')
@@ -184,7 +181,7 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
     yl = y0 + n_rows * ch + 14
     for dj, cj in enumerate(col_order):
         x = x0 + (dj + 0.5) * cw
-        text = f"{matrix.metric_names[cj]} ({float(col_variances[cj]):.3f})"
+        text = f"{METRIC_NAMES[cj]} ({float(rec['column_variances'][cj]):.3f})"
         out.append(f'<text x="{_fmt(x)}" y="{_fmt(yl)}" text-anchor="end" '
                    f'transform="rotate(-55 {_fmt(x)} {_fmt(yl)})">{_esc(text)}</text>')
     out.append("</g>")
@@ -194,7 +191,7 @@ def render_clustermap_svg(matrix: MetricsMatrix, col_linkage: Linkage,
     xl = x0 + n_cols * cw + 6
     for di, ri in enumerate(row_order):
         y = y0 + (di + 0.5) * ch + 4
-        out.append(f'<text x="{_fmt(xl)}" y="{_fmt(y)}">{_esc(matrix.rows[ri])}</text>')
+        out.append(f'<text x="{_fmt(xl)}" y="{_fmt(y)}">{_esc(rows[ri])}</text>')
     out.append("</g>")
 
     # color scale strip
@@ -244,25 +241,28 @@ def _marker(shape: str, x: float, y: float, color: str, tip: str) -> str:
     raise ValueError(f"unknown marker shape {shape!r}")
 
 
-def render_pca_scatter_svg(aligned: AlignedProjection, title: str = "") -> str:
-    """Aligned two-component scatter: marker per model, color per group.
+def render_pca_scatter_svg(pca: dict, title: str = "") -> str:
+    """Scatter of a pca record's first two aligned components: marker per
+    model, color per group.
 
     The reference group sits at the origin crosshair for every model by
     construction. Axis labels carry the explained-variance fractions.
     """
-    k = aligned.ratios.shape[0]
-    if k != 2:
-        raise ValueError(f"scatter needs exactly 2 components, got {k}")
+    if pca["k"] < 2:
+        raise ValueError(f"scatter needs at least 2 components, got {pca['k']}")
+    ratios = pca["ratios"]
     # canonical model order keeps marker shapes stable however the
-    # coords dict was built (fresh run vs rehydrated bundle)
-    models = sorted(aligned.coords, key=kind_sort_key)
-    groups = list(aligned.group_labels)
+    # coords dict was built (fresh run vs loaded bundle)
+    models = sorted(pca["coords"], key=kind_sort_key)
+    groups = pca["group_labels"]
+    coords = {m: np.asarray(pca["coords"][m], dtype=np.float64)[:, :2]
+              for m in models}
 
     width, height = 640, 470
     ml, mr, mt, mb = 70, 190, 18, 52
     pw, ph = width - ml - mr, height - mt - mb
 
-    pts = np.vstack([aligned.coords[m] for m in models])
+    pts = np.vstack([coords[m] for m in models])
     lo = np.minimum(pts.min(axis=0), 0.0)
     hi = np.maximum(pts.max(axis=0), 0.0)
     span = np.maximum(hi - lo, 1e-9)
@@ -303,18 +303,17 @@ def render_pca_scatter_svg(aligned: AlignedProjection, title: str = "") -> str:
 
     # axis labels with explained-variance fractions
     out.append(f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 14)}" text-anchor="middle">'
-               f'component 1 ({aligned.ratios[0]:.2f} of variance)</text>')
+               f'component 1 ({float(ratios[0]):.2f} of variance)</text>')
     out.append(f'<text x="14" y="{_fmt(mt + ph / 2)}" text-anchor="middle" '
                f'transform="rotate(-90 14 {_fmt(mt + ph / 2)})">'
-               f'component 2 ({aligned.ratios[1]:.2f} of variance)</text>')
+               f'component 2 ({float(ratios[1]):.2f} of variance)</text>')
 
     out.append('<g id="points">')
     for mi, model in enumerate(models):
         shape = MARKER_SHAPES[mi % len(MARKER_SHAPES)]
-        coords = aligned.coords[model]
         for gi, group in enumerate(groups):
             color = GROUP_COLORS[gi % len(GROUP_COLORS)]
-            x, y = float(coords[gi, 0]), float(coords[gi, 1])
+            x, y = float(coords[model][gi, 0]), float(coords[model][gi, 1])
             out.append(_marker(shape, sx(x), sy(y), color,
                                f"{model}:{group} ({x:.4g}, {y:.4g})"))
     out.append("</g>")
@@ -327,7 +326,7 @@ def render_pca_scatter_svg(aligned: AlignedProjection, title: str = "") -> str:
     for gi, group in enumerate(groups):
         ly += 17
         color = GROUP_COLORS[gi % len(GROUP_COLORS)]
-        mark = " (reference)" if group == aligned.reference else ""
+        mark = " (reference)" if group == pca["reference_group"] else ""
         out.append(f'<rect x="{lx}" y="{ly - 9}" width="11" height="11" fill="{color}"/>')
         out.append(f'<text x="{lx + 16}" y="{ly}">{_esc(group + mark)}</text>')
     ly += 26
@@ -343,9 +342,10 @@ def render_pca_scatter_svg(aligned: AlignedProjection, title: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def render_robustness_heatmap_svg(summary: CorrelationSummary) -> str:
-    """Mean +/- std of cross-condition distance-vector correlations."""
-    labels = [f"{d}/{f}" for d, f in summary.conditions]
+def render_robustness_heatmap_svg(rob: dict) -> str:
+    """Mean +/- std of cross-condition distance-vector correlations, from
+    the bundle's robustness record."""
+    labels = [f"{d}/{f}" for d, f in rob["conditions"]]
     n = len(labels)
     cw, ch = 104, 34
     label_w = 10 + 7 * max(len(l) for l in labels)
@@ -362,14 +362,14 @@ def render_robustness_heatmap_svg(summary: CorrelationSummary) -> str:
         f'width="{width}" height="{height}" font-family="sans-serif" font-size="11">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{margin}" y="{margin + 11}" font-size="12" fill="#222">'
-        f'distance-vector correlation across {summary.n_seeds} seed(s), mean &#177; std</text>',
+        f'distance-vector correlation across {rob["n_seeds"]} seed(s), mean &#177; std</text>',
     ]
     for i in range(n):
         for j in range(n):
             x = x0 + j * cw
             y = y0 + i * ch
-            m = float(summary.mean[i, j])
-            s = float(summary.std[i, j])
+            m = float(rob["mean"][i][j])
+            s = float(rob["std"][i][j])
             fill = heat_color((m + 1.0) / 2.0)
             text_fill = "#ffffff" if _luma(fill) < 140 else "#111111"
             out.append(f'<rect class="cell" x="{x}" y="{y}" width="{cw}" height="{ch}" '
@@ -390,138 +390,67 @@ def render_robustness_heatmap_svg(summary: CorrelationSummary) -> str:
 # ---------------------------------------------------------------------------
 # audit bundle
 
-BUNDLE_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "mode", "run", "metric_names",
-                 "datasets", "training", "robustness"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "mode": {"enum": ["full", "audit"]},
-        "metric_names": {
-            "type": "array", "items": {"type": "string"},
-            "minItems": 13, "maxItems": 13,
-        },
-        "run": {
-            "type": "object",
-            "required": ["seeds", "n_folds", "validation_fraction",
-                         "search_draws", "model_kinds"],
-            "properties": {
-                "seeds": {"type": "array", "items": {"type": "integer"},
-                          "minItems": 1},
-                "n_folds": {"type": "integer"},
-                "validation_fraction": {"type": "number"},
-                "search_draws": {"type": "integer"},
-                "model_kinds": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "datasets": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "source_path", "kept_rows",
-                             "dropped_rows", "features"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "kept_rows": {"type": "integer"},
-                    "dropped_rows": {"type": "integer"},
-                    "features": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "reference", "groups",
-                                         "results"],
-                            "properties": {
-                                "name": {"type": "string"},
-                                "reference": {"type": "string"},
-                                "groups": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["label", "size"],
-                                    },
-                                },
-                                "results": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {
-                                        "type": "object",
-                                        "required": [
-                                            "seed", "rows", "values", "flags",
-                                            "column_variances", "col_linkage",
-                                            "row_linkage", "col_distance",
-                                            "row_distance", "pca",
-                                            "full_pca_ratios",
-                                        ],
-                                        "properties": {
-                                            "seed": {"type": "integer"},
-                                            "rows": {"type": "array",
-                                                     "items": {"type": "string"}},
-                                            "values": {"type": "array"},
-                                            "flags": {"type": "array"},
-                                            "column_variances": {"type": "array"},
-                                            "col_linkage": {"type": "array"},
-                                            "row_linkage": {"type": "array"},
-                                            "pca": {
-                                                "type": ["object", "null"],
-                                                "required": [
-                                                    "reference_model",
-                                                    "reference_group", "k",
-                                                    "eigenvectors",
-                                                    "column_means", "ratios",
-                                                    "group_labels", "coords",
-                                                ],
-                                            },
-                                            "full_pca_ratios": {
-                                                "type": ["array", "null"],
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "training": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["dataset", "seed", "kind", "params",
-                             "mean_validation_auc", "pooled_test_auc",
-                             "fold_thresholds"],
-                "properties": {
-                    "dataset": {"type": "string"},
-                    "seed": {"type": "integer"},
-                    "kind": {"type": "string"},
-                    "params": {"type": "object"},
-                    "mean_validation_auc": {"type": "number"},
-                    "pooled_test_auc": {"type": "number"},
-                    "fold_thresholds": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["fold", "t_max", "achieved_ba",
-                                         "degenerate"],
-                        },
-                    },
-                },
-            },
-        },
-        "robustness": {
-            "type": ["object", "null"],
-            "required": ["conditions", "n_seeds", "mean", "std"],
-            "properties": {
-                "conditions": {"type": "array"},
-                "n_seeds": {"type": "integer"},
-                "mean": {"type": "array"},
-                "std": {"type": "array"},
-            },
-        },
-    },
-}
+def _array(items: dict, **limits) -> dict:
+    return {"type": "array", "items": items, **limits}
+
+
+def _object(nullable: bool = False, **properties) -> dict:
+    """An object schema that requires every named property; a property
+    given as {} may hold any value."""
+    return {"type": ["object", "null"] if nullable else "object",
+            "required": list(properties), "properties": properties}
+
+
+_STRING, _INTEGER, _NUMBER = ({"type": "string"}, {"type": "integer"},
+                              {"type": "number"})
+_STRINGS, _NUMBERS = _array(_STRING), _array(_NUMBER)
+_TABLE = _array(_NUMBERS)
+# (left, right, height, size); a height of 0.0 is written as 0, an integer
+_MERGES = _array({"type": "array", "minItems": 4, "maxItems": 4,
+                  "prefixItems": [_INTEGER, _INTEGER, _NUMBER, _INTEGER]})
+_PCA = _object(
+    nullable=True, reference_model=_STRING, reference_group=_STRING,
+    k=_INTEGER, eigenvectors=_TABLE, column_means=_NUMBERS, ratios=_NUMBERS,
+    group_labels=_STRINGS,
+    coords={"type": "object", "additionalProperties": _TABLE})
+_CELL = _object(
+    seed=_INTEGER, rows=_STRINGS, values=_TABLE,
+    flags=_array(_array({"type": "boolean"})), column_variances=_NUMBERS,
+    col_linkage=_MERGES, row_linkage=_MERGES, col_distance={},
+    row_distance={}, pca=_PCA,
+    full_pca_ratios={"type": ["array", "null"], "items": _NUMBER})
+_FEATURE = _object(name=_STRING, reference=_STRING,
+                   groups=_array(_object(label={}, size={})),
+                   results=_array(_CELL, minItems=1))
+_DATASET = _object(name=_STRING, source_path={}, kept_rows=_INTEGER,
+                   dropped_rows=_INTEGER,
+                   features=_array(_FEATURE, minItems=1))
+_TRAINING = _object(
+    dataset=_STRING, seed=_INTEGER, kind=_STRING, params={"type": "object"},
+    mean_validation_auc=_NUMBER, pooled_test_auc=_NUMBER,
+    fold_thresholds=_array(_object(fold={}, t_max={}, achieved_ba={},
+                                   degenerate={})))
+BUNDLE_SCHEMA = _object(
+    schema_version={"const": 1}, mode={"enum": ["full", "audit"]},
+    run=_object(seeds=_array(_INTEGER, minItems=1), n_folds=_INTEGER,
+                validation_fraction=_NUMBER, search_draws=_INTEGER,
+                model_kinds=_STRINGS),
+    metric_names=_array(_STRING, minItems=13, maxItems=13),
+    datasets=_array(_DATASET, minItems=1), training=_array(_TRAINING),
+    robustness=_object(
+        nullable=True,
+        conditions=_array(_array(_STRING, minItems=2, maxItems=2), minItems=1),
+        n_seeds=_INTEGER, mean=_TABLE, std=_TABLE))
+# built once: jsonschema.validate would check the constant schema itself
+# on every call, which costs more than validating a bundle
+_BUNDLE_VALIDATOR = Draft202012Validator(BUNDLE_SCHEMA)
+
+
+def _schema_validate(bundle: dict) -> None:
+    """Raise the ValidationError jsonschema.validate would raise."""
+    error = best_match(_BUNDLE_VALIDATOR.iter_errors(bundle))
+    if error is not None:
+        raise error
 
 
 def _jsonify(obj, out: list[str], indent: int) -> None:
@@ -575,7 +504,7 @@ def _scalar(v) -> str:
 
 def bundle_json_text(bundle: dict) -> str:
     """Canonical JSON: sorted keys, 17-significant-digit floats."""
-    _schema_validate(bundle, BUNDLE_SCHEMA)
+    _schema_validate(bundle)
     out: list[str] = []
     _jsonify(bundle, out, 0)
     return "".join(out) + "\n"
@@ -615,7 +544,10 @@ def load_bundle(path: str | Path) -> dict:
     Dataset and feature names become directories under the output
     directory of report, cluster and pca, so a name that is not a single
     directory name raises BundleError too, and so does a result record
-    whose parts disagree (_cell_fault).
+    whose parts disagree (_cell_fault) or a robustness summary that is
+    not n x n for its n conditions. The renderers and the cluster and pca
+    commands read the records as returned, so these checks are their
+    only guard.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -623,7 +555,7 @@ def load_bundle(path: str | Path) -> dict:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError(f"{path}: not a JSON bundle ({exc})") from exc
     try:
-        _schema_validate(bundle, BUNDLE_SCHEMA)
+        _schema_validate(bundle)
     except ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "top level"
         raise BundleError(f"{path}: fails the bundle schema at {where}: "
@@ -639,7 +571,18 @@ def load_bundle(path: str | Path) -> dict:
                 if fault:
                     raise BundleError(f"{path}: {ds['name']}/{feat['name']}/"
                                       f"seed{rec['seed']}: {fault}")
+    rob = bundle["robustness"]
+    if rob is not None:
+        n = len(rob["conditions"])
+        for part in ("mean", "std"):
+            if not _is_table(rob[part], n, n):
+                raise BundleError(f"{path}: robustness {part} is not "
+                                  f"{n} x {n}")
     return bundle
+
+
+def _is_table(rows: list, n: int, m: int) -> bool:
+    return len(rows) == n and all(len(row) == m for row in rows)
 
 
 def _cell_fault(rec: dict) -> str | None:
@@ -647,57 +590,48 @@ def _cell_fault(rec: dict) -> str | None:
 
     Row keys are "model:group"; values and flags have one 13-entry row
     per row key and column_variances one entry per metric; each linkage
-    over n leaves has n - 1 merges, and merge s joins ids below n + s.
+    over n leaves has n - 1 merges, and merge s joins ids below n + s. A
+    pca record of k components has k ratios, k x 13 eigenvectors, 13
+    column means and, per model, one k-entry row per group label; its
+    reference group is a group label and its reference model one of its
+    models.
     """
     n, j = len(rec["rows"]), len(METRIC_NAMES)
     if not all(":" in key for key in rec["rows"]):
         return 'a row key is not "model:group"'
     for part in ("values", "flags"):
-        if len(rec[part]) != n or not all(
-                isinstance(row, list) and len(row) == j for row in rec[part]):
+        if not _is_table(rec[part], n, j):
             return f"{part} is not {n} x {j}"
     if len(rec["column_variances"]) != j:
         return f"column_variances does not have {j} entries"
     for part, leaves in (("col_linkage", j), ("row_linkage", n)):
         merges = rec[part]
         if len(merges) != leaves - 1 or not all(
-                isinstance(m, list) and len(m) == 4
-                and all(isinstance(i, int) and 0 <= i < leaves + s
-                        for i in m[:2])
-                for s, m in enumerate(merges)):
+                0 <= i < leaves + s for s, m in enumerate(merges)
+                for i in m[:2]):
             return f"{part} is not a tree over {leaves} leaves"
+    pca = rec["pca"]
+    if pca is None:
+        return None
+    k, g = pca["k"], len(pca["group_labels"])
+    if len(pca["ratios"]) != k:
+        return f"pca ratios does not have k = {k} entries"
+    if not _is_table(pca["eigenvectors"], k, j):
+        return f"pca eigenvectors is not {k} x {j}"
+    if len(pca["column_means"]) != j:
+        return f"pca column_means does not have {j} entries"
+    for model, coords in pca["coords"].items():
+        if not _is_table(coords, g, k):
+            return f"pca coords of {model!r} is not {g} x {k}"
+    if pca["reference_group"] not in pca["group_labels"]:
+        return "pca reference_group is not one of its group_labels"
+    if pca["reference_model"] not in pca["coords"]:
+        return "pca reference_model is not one of its coords models"
     return None
 
 
 # ---------------------------------------------------------------------------
-# rehydration from bundle records + full rendering pass
-
-def matrix_from_record(dataset: str, feature: str, rec: dict) -> MetricsMatrix:
-    return MetricsMatrix(
-        rows=tuple(rec["rows"]),
-        metric_names=METRIC_NAMES,
-        values=np.asarray(rec["values"], dtype=np.float64),
-        flags=np.asarray(rec["flags"], dtype=bool),
-        column_variances=np.asarray(rec["column_variances"], dtype=np.float64),
-        provenance=Provenance(dataset=dataset, feature=feature,
-                              seed=int(rec["seed"])),
-    )
-
-
-def linkage_from_record(entries: list) -> Linkage:
-    merges = tuple((int(l), int(r), float(h), int(s)) for l, r, h, s in entries)
-    return Linkage(merges=merges, n_leaves=len(merges) + 1)
-
-
-def aligned_from_record(pca_rec: dict) -> AlignedProjection:
-    return AlignedProjection(
-        coords={k: np.asarray(v, dtype=np.float64)
-                for k, v in pca_rec["coords"].items()},
-        group_labels=tuple(pca_rec["group_labels"]),
-        reference=pca_rec["reference_group"],
-        ratios=np.asarray(pca_rec["ratios"], dtype=np.float64),
-    )
-
+# full rendering pass
 
 def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
     """Write every figure and CSV sidecar for a bundle.
@@ -713,44 +647,26 @@ def render_all(bundle: dict, out_dir: str | Path) -> list[Path]:
         for feat in ds["features"]:
             for rec in feat["results"]:
                 cell = out_dir / ds["name"] / feat["name"] / f"seed{rec['seed']}"
-                matrix = matrix_from_record(ds["name"], feat["name"], rec)
-                col_link = linkage_from_record(rec["col_linkage"])
-                row_link = linkage_from_record(rec["row_linkage"])
+                where = f"{ds['name']} / {feat['name']} / seed {rec['seed']}"
                 written.append(write_atomic(
                     cell / "clustermap.svg",
-                    render_clustermap_svg(matrix, col_link, row_link)))
+                    render_clustermap_svg(rec, f"{where} (micro-averaged)")))
                 written.append(write_atomic(cell / "matrix.csv",
-                                            matrix_csv_text(matrix)))
-                pca_rec = rec["pca"]
-                if pca_rec is not None and int(pca_rec["k"]) >= 2:
-                    aligned = aligned_from_record(pca_rec)
-                    if aligned.ratios.shape[0] > 2:
-                        aligned = AlignedProjection(
-                            coords={k: v[:, :2] for k, v in aligned.coords.items()},
-                            group_labels=aligned.group_labels,
-                            reference=aligned.reference,
-                            ratios=aligned.ratios[:2],
-                        )
-                    title = (f"{ds['name']} / {feat['name']} / seed {rec['seed']} "
-                             f"(axes from {pca_rec['reference_model']})")
+                                            matrix_csv_text(rec)))
+                pca = rec["pca"]
+                if pca is not None and pca["k"] >= 2:
+                    title = f"{where} (axes from {pca['reference_model']})"
                     written.append(write_atomic(
-                        cell / "pca.svg",
-                        render_pca_scatter_svg(aligned, title=title)))
+                        cell / "pca.svg", render_pca_scatter_svg(pca, title)))
     rob = bundle["robustness"]
     if rob is not None:
         labels = [f"{d}/{f}" for d, f in rob["conditions"]]
-        summary = CorrelationSummary(
-            conditions=tuple((d, f) for d, f in rob["conditions"]),
-            mean=np.asarray(rob["mean"], dtype=np.float64),
-            std=np.asarray(rob["std"], dtype=np.float64),
-            n_seeds=int(rob["n_seeds"]),
-        )
         rd = out_dir / "robustness"
-        for name, mat in (("means.csv", summary.mean), ("stds.csv", summary.std)):
+        for name, mat in (("means.csv", rob["mean"]), ("stds.csv", rob["std"])):
             lines = ["condition," + ",".join(labels)]
             for label, row in zip(labels, mat):
                 lines.append(label + "," + ",".join("%.17g" % v for v in row))
             written.append(write_atomic(rd / name, "\n".join(lines) + "\n"))
         written.append(write_atomic(rd / "heatmap.svg",
-                                    render_robustness_heatmap_svg(summary)))
+                                    render_robustness_heatmap_svg(rob)))
     return written

@@ -3,26 +3,17 @@
 Each (dataset, protected feature) condition yields a column-axis distance
 vector over the 13 metrics (length 78). Correlating those vectors across
 conditions asks whether the metric relationships generalize; aggregating the
-per-seed correlation matrices gives the mean/std summary. Only column-axis
+per-seed correlation matrices gives the mean/std summary, which the bundle's
+robustness record holds and the robustness heatmap reads. Only column-axis
 vectors are comparable across datasets: row-axis vectors have
 dataset-dependent length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cluster import DistanceVector, pearson
-
-
-@dataclass
-class CorrelationSummary:
-    conditions: tuple[tuple[str, str], ...]  # (dataset, feature)
-    mean: np.ndarray                          # symmetric, diagonal 1.0
-    std: np.ndarray                           # symmetric, diagonal 0.0
-    n_seeds: int
 
 
 def distance_vector_correlation(d_a: DistanceVector, d_b: DistanceVector) -> float:
@@ -60,8 +51,10 @@ def correlation_matrix(vectors: list[DistanceVector]) -> np.ndarray:
 def aggregate_over_seeds(
     conditions: list[tuple[str, str]],
     matrices: list[np.ndarray],
-) -> CorrelationSummary:
-    """Elementwise mean and population std of per-seed correlation matrices."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise mean and population std of per-seed correlation matrices
+    over the (dataset, feature) conditions; the mean is symmetric with a
+    unit diagonal, the std symmetric with a zero diagonal."""
     if not matrices:
         raise ValueError("need at least one seed matrix")
     n = len(conditions)
@@ -79,9 +72,4 @@ def aggregate_over_seeds(
     same = np.all(stack == stack[0], axis=0)
     mean[same] = stack[0][same]
     std[same] = 0.0
-    return CorrelationSummary(
-        conditions=tuple(conditions),
-        mean=mean,
-        std=std,
-        n_seeds=len(matrices),
-    )
+    return mean, std

@@ -27,8 +27,7 @@ from fairlens.metrics import (confusion_at_threshold, balanced_accuracy,
                               select_threshold)
 from fairlens.pca import fit_pca
 from fairlens.rand import Stream
-from fairlens.report import (linkage_from_record, load_bundle,
-                             matrix_from_record)
+from fairlens.report import load_bundle
 from fairlens.synth import write_recidivism_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,14 +35,15 @@ COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"),
                     ("PPV", "FDR"), ("NPV", "FOR"))
 
 
-def row_index(m, model, group):
-    """The row of (model, group) in the metrics matrix m."""
-    return m.rows.index(f"{model}:{group}")
+def row_index(rec, model, group):
+    """The row of (model, group) in the cell record rec's matrix."""
+    return rec["rows"].index(f"{model}:{group}")
 
 
-def check_complement_variances(m, tol):
-    """Names of complement pairs whose column variances differ beyond tol."""
-    var = dict(zip(m.metric_names, m.column_variances))
+def check_complement_variances(rec, tol):
+    """Names of complement pairs whose column variances in the cell
+    record rec differ beyond tol."""
+    var = dict(zip(METRIC_NAMES, rec["column_variances"]))
     return [f"{a}/{b}" for a, b in COMPLEMENT_PAIRS
             if abs(var[a] - var[b]) > tol]
 
@@ -94,8 +94,8 @@ def iter_matrices(bundle):
     for ds in bundle["datasets"]:
         for feat in ds["features"]:
             for rec in feat["results"]:
-                yield ds, feat, rec, matrix_from_record(
-                    ds["name"], feat["name"], rec)
+                yield ds, feat, rec, np.asarray(rec["values"],
+                                                dtype=np.float64)
 
 
 # -- criterion 1: metric identities on random counts -------------------------
@@ -194,12 +194,11 @@ def naive_upgma_cophenetic(dist):
     return coph
 
 
-def cophenetic_from_linkage(linkage):
-    n = linkage.n_leaves
+def cophenetic_from_linkage(merges):
+    n = len(merges) + 1
     members = {i: [i] for i in range(n)}
     coph = np.zeros((n, n))
-    for node, (left, right, height, _size) in enumerate(linkage.merges,
-                                                        start=n):
+    for node, (left, right, height, _size) in enumerate(merges, start=n):
         for i in members[left]:
             for j in members[right]:
                 coph[i, j] = coph[j, i] = height
@@ -221,9 +220,9 @@ def test_criterion_03_upgma_matches_naive_oracle():
         condensed = np.array([full[i, j] for i in range(n)
                               for j in range(i + 1, n)])
         labels = tuple(f"x{i}" for i in range(n))
-        link = upgma(DistanceVector(axis="columns", condensed=condensed,
-                                    labels=labels))
-        got = cophenetic_from_linkage(link)
+        merges = upgma(DistanceVector(axis="columns", condensed=condensed,
+                                      labels=labels))
+        got = cophenetic_from_linkage(merges)
         want = naive_upgma_cophenetic(full)
         assert np.max(np.abs(got - want)) < 1e-12
     elapsed = time.perf_counter() - started
@@ -301,8 +300,8 @@ def test_criterion_05_threshold_beats_dense_grid():
 def test_criterion_06_complement_variances_equal_in_e2e(desk_run):
     bundle, _out, _elapsed, _name = desk_run
     checked = 0
-    for _ds, _feat, _rec, m in iter_matrices(bundle):
-        assert check_complement_variances(m, tol=1e-12) == []
+    for _ds, _feat, rec, _values in iter_matrices(bundle):
+        assert check_complement_variances(rec, tol=1e-12) == []
         checked += 1
     assert checked == 6  # 2 features x 3 seeds
 
@@ -313,15 +312,14 @@ def test_criterion_07_recidivism_findings(desk_run):
     bundle, out, elapsed, _name = desk_run
     assert elapsed < 600.0, f"desk-scale run took {elapsed:.0f}s"
 
-    for ds, feat, rec, m in iter_matrices(bundle):
+    for ds, feat, rec, values in iter_matrices(bundle):
         if feat["name"] != "race":
             continue
-        names = list(m.metric_names)
+        names = list(METRIC_NAMES)
 
         # the two-cluster metric cut splits every complement pair and
         # keeps the three headline accuracy metrics together
-        link = linkage_from_record(rec["col_linkage"])
-        flat = cut_clusters(link, 2)
+        flat = cut_clusters(rec["col_linkage"], 2)
         by_name = {n: int(flat[j]) for j, n in enumerate(names)}
         for a, b in COMPLEMENT_PAIRS:
             assert by_name[a] != by_name[b], f"seed {rec['seed']}: {a}/{b}"
@@ -329,14 +327,14 @@ def test_criterion_07_recidivism_findings(desk_run):
             f"seed {rec['seed']}: accuracy metrics split"
 
         # the punitive-direction disparities survive training end to end
-        tpr_aa = m.values[row_index(m, "logit", "African-American"),
-                          names.index("TPR")]
-        tpr_c = m.values[row_index(m, "logit", "Caucasian"),
-                         names.index("TPR")]
-        pprev_aa = m.values[row_index(m, "logit", "African-American"),
-                            names.index("PPREV")]
-        pprev_c = m.values[row_index(m, "logit", "Caucasian"),
-                           names.index("PPREV")]
+        tpr_aa = values[row_index(rec, "logit", "African-American"),
+                        names.index("TPR")]
+        tpr_c = values[row_index(rec, "logit", "Caucasian"),
+                       names.index("TPR")]
+        pprev_aa = values[row_index(rec, "logit", "African-American"),
+                          names.index("PPREV")]
+        pprev_c = values[row_index(rec, "logit", "Caucasian"),
+                         names.index("PPREV")]
         assert tpr_aa > tpr_c, f"seed {rec['seed']}: TPR direction"
         assert pprev_aa > pprev_c, f"seed {rec['seed']}: PPREV direction"
 
@@ -421,8 +419,8 @@ def test_criterion_10_audit_mode_exact_rates(tmp_path):
         [("ext", str(path))], ["grp"], threshold=0.5)
     assert failures == []
     rec = bundle["datasets"][0]["features"][0]["results"][0]
-    m = matrix_from_record("audit", "grp", rec)
-    names = list(m.metric_names)
+    values = np.asarray(rec["values"], dtype=np.float64)
+    names = list(METRIC_NAMES)
 
     want = {
         ("A", "TPR"): 0.9, ("A", "FPR"): 0.1, ("A", "FNR"): 0.1,
@@ -432,10 +430,10 @@ def test_criterion_10_audit_mode_exact_rates(tmp_path):
         ("A", "PPR"): 200 / 800, ("B", "PPR"): 150 / 800,
     }
     for (g, metric), expected in want.items():
-        got = m.values[row_index(m, "ext", g), names.index(metric)]
+        got = values[row_index(rec, "ext", g), names.index(metric)]
         assert abs(got - expected) < 1e-12, (g, metric, got, expected)
 
     tpr = names.index("TPR")
-    ratio = (m.values[row_index(m, "ext", "B"), tpr]
-             / m.values[row_index(m, "ext", "A"), tpr])
+    ratio = (values[row_index(rec, "ext", "B"), tpr]
+             / values[row_index(rec, "ext", "A"), tpr])
     assert abs(ratio - 2.0 / 3.0) < 1e-12

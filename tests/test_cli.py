@@ -19,7 +19,7 @@ from fairlens import METRIC_NAMES, MODEL_KINDS
 from fairlens.cli import (ConfigError, PredictionFileError, RunConfig,
                           _resolve_seeds, audit_external_predictions,
                           load_run_config, main)
-from fairlens.report import load_bundle, matrix_from_record
+from fairlens.report import load_bundle
 from fairlens.synth import write_recidivism_csv
 
 
@@ -154,14 +154,14 @@ def test_full_run_matrices_keep_complement_identities(tiny_run):
     for ds in bundle["datasets"]:
         for feat in ds["features"]:
             for rec in feat["results"]:
-                m = matrix_from_record(ds["name"], feat["name"], rec)
-                names = list(m.metric_names)
+                flags = np.asarray(rec["flags"], dtype=bool)
+                names = list(METRIC_NAMES)
                 for a, b in pairs:
                     ja, jb = names.index(a), names.index(b)
-                    if m.flags[:, ja].any() or m.flags[:, jb].any():
+                    if flags[:, ja].any() or flags[:, jb].any():
                         continue
-                    va = m.column_variances[ja]
-                    vb = m.column_variances[jb]
+                    va = rec["column_variances"][ja]
+                    vb = rec["column_variances"][jb]
                     assert abs(va - vb) < 1e-12, (feat["name"], a, b)
                     clean += 1
                 checked += 1
@@ -487,14 +487,14 @@ def test_audit_produces_exact_group_rates(tmp_path):
         [("ext", str(path))], ["grp"], threshold=0.5)
     assert failures == []
     rec = bundle["datasets"][0]["features"][0]["results"][0]
-    m = matrix_from_record("audit", "grp", rec)
-    tpr_j = list(m.metric_names).index("TPR")
-    fpr_j = list(m.metric_names).index("FPR")
-    rows = {r: i for i, r in enumerate(m.rows)}
-    assert abs(m.values[rows["ext:A"], tpr_j] - 0.9) < 1e-12
-    assert abs(m.values[rows["ext:A"], fpr_j] - 0.1) < 1e-12
-    assert abs(m.values[rows["ext:B"], tpr_j] - 0.6) < 1e-12
-    assert abs(m.values[rows["ext:B"], fpr_j] - 0.3) < 1e-12
+    values = np.asarray(rec["values"], dtype=np.float64)
+    tpr_j = list(METRIC_NAMES).index("TPR")
+    fpr_j = list(METRIC_NAMES).index("FPR")
+    rows = {r: i for i, r in enumerate(rec["rows"])}
+    assert abs(values[rows["ext:A"], tpr_j] - 0.9) < 1e-12
+    assert abs(values[rows["ext:A"], fpr_j] - 0.1) < 1e-12
+    assert abs(values[rows["ext:B"], tpr_j] - 0.6) < 1e-12
+    assert abs(values[rows["ext:B"], fpr_j] - 0.3) < 1e-12
 
 
 def test_audit_cli_end_to_end(tmp_path):
@@ -677,12 +677,46 @@ def _broken_col_linkage(bundle):
     _first_cell(bundle)["col_linkage"] = [[0, 99, 0.5, 2]]
 
 
+def _string_value(bundle):
+    _first_cell(bundle)["values"][0][0] = "x"
+
+
+def _short_pca_coords(bundle):
+    coords = _first_cell(bundle)["pca"]["coords"]
+    del coords[sorted(coords)[0]][-1]
+
+
+def _one_pca_ratio(bundle):
+    pca = _first_cell(bundle)["pca"]
+    assert pca["k"] == 3
+    pca["ratios"] = pca["ratios"][:1]
+
+
+def _short_robustness_mean(bundle):
+    del bundle["robustness"]["mean"][-1]
+
+
+def _integer_flag(bundle):
+    _first_cell(bundle)["flags"][0][0] = 3
+
+
+def _no_robustness_conditions(bundle):
+    bundle["robustness"].update(conditions=[], mean=[], std=[])
+
+
 @pytest.mark.parametrize("text", [
     "not json", '{"schema_version": 2}', b"\xff\xfe",
-    # a run bundle edited so that it passes the schema but its parts disagree
+    # a run bundle edited so that its entries have the wrong type or its
+    # parts disagree
     pytest.param(_colonless_row_key, id="colonless-row-key"),
     pytest.param(_short_values, id="short-values"),
     pytest.param(_broken_col_linkage, id="broken-col-linkage"),
+    pytest.param(_string_value, id="string-value"),
+    pytest.param(_short_pca_coords, id="short-pca-coords"),
+    pytest.param(_one_pca_ratio, id="one-pca-ratio"),
+    pytest.param(_short_robustness_mean, id="short-robustness-mean"),
+    pytest.param(_integer_flag, id="integer-flag"),
+    pytest.param(_no_robustness_conditions, id="no-robustness-conditions"),
 ])
 def test_unreadable_bundle_exits_2(tmp_path, capsys, request, text):
     path = tmp_path / "bad.json"
@@ -862,7 +896,7 @@ def test_shipped_dataset_specs_parse():
     assert parsed >= 4
 
 
-def run_module(argv, out, threads="1"):
+def run_module(argv, out, threads="1", cwd=None):
     """sha256 of the bundle.json that `python -m fairlens` writes to out."""
     import fairlens
 
@@ -871,9 +905,21 @@ def run_module(argv, out, threads="1"):
                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                PYTHONPATH=package_root)
     subprocess.run([sys.executable, "-m", "fairlens"] + argv
-                   + ["--out", str(out)],
+                   + ["--out", str(out)], cwd=cwd,
                    env=env, check=True, capture_output=True, timeout=300)
     return hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest()
+
+
+def tree_sha256(root: Path) -> str:
+    """sha256 over every file under root: each relative path, in sorted
+    order, followed by its byte count and its bytes."""
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in root.rglob("*") if p.is_file()):
+        blob = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(blob)}\0".encode())
+        digest.update(blob)
+    return digest.hexdigest()
 
 
 def test_entry_point_bundle_does_not_depend_on_blas_threads(tmp_path):
@@ -906,10 +952,14 @@ def test_bench_trace_targets_resolve():
     assert int(done.stdout) > 0
 
 
-# sha256 of bundle.json for the fixed run below. A change that alters the
-# bundle on purpose updates this constant and says why in CHANGES.md.
+# sha256 of bundle.json for the fixed run below, and tree_sha256 of its
+# whole output directory (bundle, figures and CSVs). A change that alters
+# the bundle or a figure on purpose updates these constants and says why
+# in CHANGES.md.
 GOLDEN_BUNDLE_SHA256 = ("008370aa12477c5feaa03a402140e7f7"
                         "c7651a3f3826fc2f7b9e70fc4de0b7ce")
+GOLDEN_OUT_SHA256 = ("9cb9be3f8d6458f5b6f039dbcb18a930"
+                     "d6aaacef1fe442f21d218932cce809e3")
 
 
 def test_golden_bundle_hash(tmp_path):
@@ -918,6 +968,39 @@ def test_golden_bundle_hash(tmp_path):
     argv = ["run", "--datasets", str(spec), "--seeds", "1", "--folds", "3",
             "--search-draws", "2", "--models", ",".join(MODEL_KINDS)]
     assert run_module(argv, tmp_path / "out") == GOLDEN_BUNDLE_SHA256
+    assert tree_sha256(tmp_path / "out") == GOLDEN_OUT_SHA256
+
+
+# The same pair for the fixed audit below: a validation column, two models
+# and two features (four groups, so a three-component PCA, and two groups).
+GOLDEN_AUDIT_BUNDLE_SHA256 = ("b1cde993020e128b4ad4e163f7cd360e"
+                              "fc483e0dcbab56fc58a7d135b4280387")
+GOLDEN_AUDIT_OUT_SHA256 = ("2d153385c1f3615882c2486ddd106ec5"
+                           "d547a2693ea4237d0682f17a9837bebe")
+
+
+def test_golden_audit_hash(tmp_path):
+    rng = np.random.default_rng(21)
+    n = 900
+    y = rng.integers(0, 2, size=n)
+    grp = rng.choice(["A", "B", "C", "D"], size=n, p=[0.4, 0.3, 0.2, 0.1])
+    sex = rng.choice(["F", "M"], size=n)
+    sel = (rng.uniform(size=n) < 0.2).astype(int)
+    for name, lift in (("m1", 0.35), ("m2", 0.2)):
+        scores = np.clip(lift * y + rng.uniform(0, 1 - lift, size=n), 0, 1)
+        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["y_true", "y_score", "grp", "sex", "sel"])
+            w.writerows((int(a), "%.6f" % s, g, x, int(v))
+                        for a, s, g, x, v in zip(y, scores, grp, sex, sel))
+    # relative input paths: the bundle records them as given
+    argv = ["audit", "--predictions", "m1=m1.csv", "--predictions",
+            "m2=m2.csv", "--features", "grp,sex", "--validation-column", "sel"]
+    out = tmp_path / "out"
+    assert run_module(argv, out, cwd=tmp_path) == GOLDEN_AUDIT_BUNDLE_SHA256
+    assert (out / "audit" / "grp" / "seed0" / "pca.svg").exists()
+    assert (out / "robustness" / "heatmap.svg").exists()
+    assert tree_sha256(out) == GOLDEN_AUDIT_OUT_SHA256
 
 
 def test_bundle_bytes_do_not_depend_on_checkout_dir(tmp_path):

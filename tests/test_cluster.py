@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from fairlens.cluster import (
-    Linkage,
     condensed_index,
     correlation_distance,
     cut_clusters,
@@ -130,23 +129,23 @@ def as_dv(condensed, n):
 
 def test_upgma_three_point_example():
     # d(A,B)=1, d(A,C)=4, d(B,C)=5
-    link = upgma(as_dv([1.0, 4.0, 5.0], 3))
-    assert link.merges[0][:2] == (0, 1)
-    assert link.merges[0][2] == pytest.approx(1.0)
-    assert link.merges[1][:2] == (2, 3)
-    assert link.merges[1][2] == pytest.approx(4.5)
-    assert link.merges[1][3] == 3
+    merges = upgma(as_dv([1.0, 4.0, 5.0], 3))
+    assert merges[0][:2] == (0, 1)
+    assert merges[0][2] == pytest.approx(1.0)
+    assert merges[1][:2] == (2, 3)
+    assert merges[1][2] == pytest.approx(4.5)
+    assert merges[1][3] == 3
 
 
 def test_upgma_two_items():
-    link = upgma(as_dv([0.7], 2))
-    assert link.merges == ((0, 1, 0.7, 2),)
+    merges = upgma(as_dv([0.7], 2))
+    assert merges == [(0, 1, 0.7, 2)]
 
 
 def test_upgma_equal_distances_tie_break():
-    link = upgma(as_dv([1.0] * 6, 4))
-    assert [m[:2] for m in link.merges] == [(0, 1), (2, 3), (4, 5)]
-    assert all(m[2] == 1.0 for m in link.merges)
+    merges = upgma(as_dv([1.0] * 6, 4))
+    assert [m[:2] for m in merges] == [(0, 1), (2, 3), (4, 5)]
+    assert all(m[2] == 1.0 for m in merges)
 
 
 def test_upgma_rejects_nonfinite():
@@ -159,9 +158,9 @@ def test_upgma_matches_naive_oracle():
     for trial in range(50):
         n = int(rng.integers(3, 13))
         condensed = rng.uniform(0.05, 2.0, size=n * (n - 1) // 2)
-        link = upgma(as_dv(condensed, n))
+        merges = upgma(as_dv(condensed, n))
         want = naive_upgma(condensed, n)
-        for got, exp in zip(link.merges, want):
+        for got, exp in zip(merges, want):
             assert got[:2] == exp[:2], f"trial {trial}"
             assert got[2] == pytest.approx(exp[2], abs=1e-9)
             assert got[3] == exp[3]
@@ -172,10 +171,10 @@ def test_upgma_heights_monotone():
     for _ in range(50):
         n = int(rng.integers(3, 15))
         condensed = rng.uniform(0.0, 2.0, size=n * (n - 1) // 2)
-        link = upgma(as_dv(condensed, n))
-        hs = [m[2] for m in link.merges]
+        merges = upgma(as_dv(condensed, n))
+        hs = [m[2] for m in merges]
         assert all(a <= b + 1e-12 for a, b in zip(hs, hs[1:]))
-        assert link.merges[-1][3] == n
+        assert merges[-1][3] == n
 
 
 def test_upgma_permutation_preserves_heights():
@@ -183,34 +182,34 @@ def test_upgma_permutation_preserves_heights():
     n = 7
     m = rng.uniform(size=(10, n))
     labels = tuple(f"c{k}" for k in range(n))
-    link = upgma(correlation_distance(m, "columns", labels))
+    merges = upgma(correlation_distance(m, "columns", labels))
     perm = rng.permutation(n)
-    link_p = upgma(correlation_distance(m[:, perm], "columns",
-                                        tuple(labels[k] for k in perm)))
-    hs = sorted(x[2] for x in link.merges)
-    hs_p = sorted(x[2] for x in link_p.merges)
+    merges_p = upgma(correlation_distance(m[:, perm], "columns",
+                                          tuple(labels[k] for k in perm)))
+    hs = sorted(x[2] for x in merges)
+    hs_p = sorted(x[2] for x in merges_p)
     assert np.allclose(hs, hs_p, atol=1e-9)
 
 
 # --------------------------------------------------------------------- cuts
 
 def test_cut_degenerate_ks():
-    link = upgma(as_dv([1.0, 4.0, 5.0], 3))
-    assert cut_clusters(link, 1).tolist() == [0, 0, 0]
-    assert cut_clusters(link, 3).tolist() == [0, 1, 2]
+    merges = upgma(as_dv([1.0, 4.0, 5.0], 3))
+    assert cut_clusters(merges, 1).tolist() == [0, 0, 0]
+    assert cut_clusters(merges, 3).tolist() == [0, 1, 2]
 
 
 def test_cut_two_clusters_three_points():
-    link = upgma(as_dv([1.0, 4.0, 5.0], 3))
-    assert cut_clusters(link, 2).tolist() == [0, 0, 1]
+    merges = upgma(as_dv([1.0, 4.0, 5.0], 3))
+    assert cut_clusters(merges, 2).tolist() == [0, 0, 1]
 
 
 def test_cut_range_validation():
-    link = upgma(as_dv([1.0], 2))
+    merges = upgma(as_dv([1.0], 2))
     with pytest.raises(ValueError, match="out of range"):
-        cut_clusters(link, 0)
+        cut_clusters(merges, 0)
     with pytest.raises(ValueError, match="out of range"):
-        cut_clusters(link, 3)
+        cut_clusters(merges, 3)
 
 
 def test_cut_matches_height_threshold():
@@ -218,21 +217,21 @@ def test_cut_matches_height_threshold():
     for _ in range(20):
         n = int(rng.integers(4, 12))
         condensed = rng.uniform(0.05, 2.0, size=n * (n - 1) // 2)
-        link = upgma(as_dv(condensed, n))
+        merges = upgma(as_dv(condensed, n))
         k = int(rng.integers(2, n))
-        labels = cut_clusters(link, k)
+        labels = cut_clusters(merges, k)
         assert len(set(labels.tolist())) == k
         # leaves merged below the cut share a label
         for step in range(n - k):
-            a, b, _, _ = link.merges[step]
+            a, b, _, _ = merges[step]
             la = a if a < n else None
             if la is not None and b < n:
                 assert labels[a] == labels[b]
 
 
 def test_leaf_order_smaller_subtree_first():
-    link = upgma(as_dv([1.0, 4.0, 5.0], 3))
-    assert leaf_order(link) == [2, 0, 1]
+    merges = upgma(as_dv([1.0, 4.0, 5.0], 3))
+    assert leaf_order(merges) == [2, 0, 1]
 
 
 def test_leaf_order_is_permutation():
@@ -245,4 +244,4 @@ def test_leaf_order_is_permutation():
 
 
 def test_leaf_order_single_leaf():
-    assert leaf_order(Linkage(merges=(), n_leaves=1)) == [0]
+    assert leaf_order([]) == [0]

@@ -6,7 +6,6 @@ import pytest
 from fairlens import METRIC_NAMES
 from fairlens.fairmatrix import (
     MODEL_KINDS,
-    Provenance,
     aggregate_over_folds,
     assemble_matrix,
     matrix_csv_text,
@@ -19,32 +18,33 @@ from fairlens.metrics import (
     group_metric_vectors,
     metric_table,
 )
+from fairlens.pipeline import cell_record
 
-PROV = Provenance(dataset="toy", feature="race", seed=0)
 COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"), ("PPV", "FDR"), ("NPV", "FOR"))
 J = {name: j for j, name in enumerate(METRIC_NAMES)}
 
 
-def row_index(m, model, group):
-    """The row of (model, group) in the metrics matrix m."""
-    return m.rows.index(f"{model}:{group}")
+def row_index(rows, model, group):
+    """The row of (model, group) among the matrix row keys."""
+    return rows.index(f"{model}:{group}")
 
 
-def fairness_ratio(m, metric, group_g, group_h, model=None):
+def fairness_ratio(rows, values, metric, group_g, group_h, model=None):
     """m_g(j) / m_h(j) for one model's rows (the first row's model by
     default); 1.0 signals parity, None an undefined ratio (zero
     denominator)."""
-    model = m.rows[0].split(":")[0] if model is None else model
-    j = m.metric_names.index(metric)
-    den = m.values[row_index(m, model, group_h), j]
+    model = rows[0].split(":")[0] if model is None else model
+    j = METRIC_NAMES.index(metric)
+    den = values[row_index(rows, model, group_h), j]
     if den == 0.0:
         return None
-    return float(m.values[row_index(m, model, group_g), j] / den)
+    return float(values[row_index(rows, model, group_g), j] / den)
 
 
-def check_complement_variances(m, tol):
-    """Names of complement pairs whose column variances differ beyond tol."""
-    var = dict(zip(m.metric_names, m.column_variances))
+def check_complement_variances(rec, tol):
+    """Names of complement pairs whose column variances in the cell
+    record rec differ beyond tol."""
+    var = dict(zip(METRIC_NAMES, rec["column_variances"]))
     return [f"{a}/{b}" for a, b in COMPLEMENT_PAIRS
             if abs(var[a] - var[b]) > tol]
 
@@ -69,21 +69,24 @@ def test_row_order_models_outer_groups_inner():
     rng = np.random.default_rng(0)
     groups = ("big", "mid", "small")
     vecs = random_tables(rng, ["mlp", "logit"], groups)
-    m = assemble_matrix(vecs, groups, PROV)
-    assert list(m.rows) == [
+    rows, values, flags = assemble_matrix(vecs, groups)
+    assert list(rows) == [
         "logit:big", "logit:mid", "logit:small",
         "mlp:big", "mlp:mid", "mlp:small",
     ]
-    assert m.values.shape == (6, 13)
-    assert m.metric_names == METRIC_NAMES
+    assert values.shape == (6, 13)
+    assert flags.shape == (6, 13)
+    rec, _ = cell_record(vecs, 0, groups, "big", ["logit", "mlp"])
+    assert rec["rows"] == list(rows)
+    assert rec["col_distance"]["labels"] == list(METRIC_NAMES)
 
 
 def test_dimensions_g5_l2():
     rng = np.random.default_rng(1)
     groups = tuple(f"g{i}" for i in range(5))
     vecs = random_tables(rng, ["logit", "mlp"], groups)
-    m = assemble_matrix(vecs, groups, PROV)
-    assert m.values.shape == (10, 13)
+    _, values, _ = assemble_matrix(vecs, groups)
+    assert values.shape == (10, 13)
 
 
 def test_missing_pair_rejected():
@@ -91,7 +94,7 @@ def test_missing_pair_rejected():
     vecs = random_tables(rng, ["logit"], ("a", "b"))
     vecs["logit"] = tuple(part[:1] for part in vecs["logit"])
     with pytest.raises(ValueError, match=r"'logit' is not \(2, 13\)"):
-        assemble_matrix(vecs, ("a", "b"), PROV)
+        assemble_matrix(vecs, ("a", "b"))
 
 
 def test_external_model_names_sort_after_canonical_kinds():
@@ -99,8 +102,8 @@ def test_external_model_names_sort_after_canonical_kinds():
     # arbitrary names are allowed; they order after the built-in kinds
     rng = np.random.default_rng(3)
     vecs = random_tables(rng, ["svm9", "nb", "avendor"], ("a", "b"))
-    m = assemble_matrix(vecs, ("a", "b"), PROV)
-    model_order = [r.split(":")[0] for r in m.rows[::2]]
+    rows, _, _ = assemble_matrix(vecs, ("a", "b"))
+    model_order = [r.split(":")[0] for r in rows[::2]]
     assert model_order == ["nb", "avendor", "svm9"]
 
 
@@ -110,17 +113,17 @@ def test_complement_column_variances_equal():
         groups = tuple(f"g{i}" for i in range(int(rng.integers(2, 6))))
         kinds = list(rng.choice(MODEL_KINDS, size=2, replace=False))
         vecs = random_tables(rng, kinds, groups)
-        m = assemble_matrix(vecs, groups, PROV)
-        assert check_complement_variances(m, tol=1e-12) == []
+        rec, _ = cell_record(vecs, 0, groups, groups[0], kinds)
+        assert check_complement_variances(rec, tol=1e-12) == []
 
 
 def test_column_variance_is_population():
     rng = np.random.default_rng(5)
     vecs = random_tables(rng, ["logit"], ("a", "b", "c"))
-    m = assemble_matrix(vecs, ("a", "b", "c"), PROV)
+    rec, _ = cell_record(vecs, 0, ("a", "b", "c"), "a", ["logit"])
     j = METRIC_NAMES.index("TPR")
-    col = m.values[:, j]
-    assert m.column_variances[j] == pytest.approx(
+    col = np.asarray(rec["values"])[:, j]
+    assert rec["column_variances"][j] == pytest.approx(
         np.mean((col - col.mean()) ** 2), abs=1e-15)
 
 
@@ -128,44 +131,44 @@ def test_per_model_restriction_and_restack():
     rng = np.random.default_rng(6)
     groups = ("a", "b", "c")
     vecs = random_tables(rng, ["logit", "mlp", "nb"], groups)
-    m = assemble_matrix(vecs, groups, PROV)
-    sub = per_model_matrix(m, "mlp")
-    assert sub.values.shape == (3, 13)
-    assert list(sub.rows) == [f"mlp:{g}" for g in groups]
-    stacked = np.vstack([per_model_matrix(m, k).values
+    rows, values, _ = assemble_matrix(vecs, groups)
+    sub = per_model_matrix(rows, values, "mlp")
+    assert sub.shape == (3, 13)
+    assert np.array_equal(sub, vecs["mlp"][0])
+    assert [r for r in rows if r.startswith("mlp:")] == [f"mlp:{g}" for g in groups]
+    stacked = np.vstack([per_model_matrix(rows, values, k)
                          for k in ("logit", "mlp", "nb")])
-    assert np.array_equal(stacked, m.values)
+    assert np.array_equal(stacked, values)
     with pytest.raises(ValueError, match="not present"):
-        per_model_matrix(m, "knn")
+        per_model_matrix(rows, values, "knn")
 
 
 def test_flags_propagate_through_restriction():
     vecs = {"logit": table([(0, 0, 3, 2), (2, 1, 3, 2)], [0.5, 0.7], 10)}
-    m = assemble_matrix(vecs, ("a", "b"), PROV)
-    sub = per_model_matrix(m, "logit")
-    assert sub.flags[0, METRIC_NAMES.index("PPV")]
-    assert not sub.flags[1, METRIC_NAMES.index("PPV")]
+    _, _, flags = assemble_matrix(vecs, ("a", "b"))
+    assert flags[0, METRIC_NAMES.index("PPV")]
+    assert not flags[1, METRIC_NAMES.index("PPV")]
 
 
 def test_fairness_ratio_identity_and_arithmetic():
     vecs = {"logit": table([(3, 1, 4, 2), (3, 1, 4, 2)], [0.8, 0.8], 20)}
-    m = assemble_matrix(vecs, ("a", "b"), PROV)
+    rows, values, _ = assemble_matrix(vecs, ("a", "b"))
     for name in METRIC_NAMES:
-        r = fairness_ratio(m, name, "a", "b")
+        r = fairness_ratio(rows, values, name, "a", "b")
         assert r == pytest.approx(1.0)
     # TPR 0.6 vs 0.8 -> 0.75
-    m2 = assemble_matrix(
+    rows2, values2, _ = assemble_matrix(
         {"logit": table([(3, 1, 4, 2), (4, 1, 4, 1)], [0.8, 0.8], 20)},
-        ("a", "b"), PROV)
-    assert fairness_ratio(m2, "TPR", "a", "b") == pytest.approx(0.6 / 0.8)
+        ("a", "b"))
+    assert fairness_ratio(rows2, values2, "TPR", "a", "b") == pytest.approx(0.6 / 0.8)
 
 
 def test_fairness_ratio_zero_denominator_undefined():
     # group b has FPR 0
-    m = assemble_matrix(
+    rows, values, _ = assemble_matrix(
         {"logit": table([(3, 1, 4, 2), (2, 0, 5, 3)], [0.8, 0.8], 20)},
-        ("a", "b"), PROV)
-    assert fairness_ratio(m, "FPR", "a", "b") is None
+        ("a", "b"))
+    assert fairness_ratio(rows, values, "FPR", "a", "b") is None
 
 
 def one_group(fold_scores):
@@ -305,13 +308,14 @@ def test_aggregate_bit_identical_to_fold_group_loop():
 def test_matrix_csv_round_trips_values():
     rng = np.random.default_rng(8)
     vecs = random_tables(rng, ["logit"], ("a", "b"))
-    m = assemble_matrix(vecs, ("a", "b"), PROV)
-    text = matrix_csv_text(m)
+    rec, _ = cell_record(vecs, 0, ("a", "b"), "a", ["logit"])
+    text = matrix_csv_text(rec)
     lines = text.strip().split("\n")
     assert lines[0] == "row," + ",".join(METRIC_NAMES)
     assert lines[1].startswith("logit:a,")
     parsed = np.array([[float(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
-    assert np.array_equal(parsed, m.values)  # %.17g is lossless for float64
+    _, values, _ = assemble_matrix(vecs, ("a", "b"))
+    assert np.array_equal(parsed, values)  # %.17g is lossless for float64
 
 
 def test_group_vectors_feed_assembly():
@@ -319,6 +323,6 @@ def test_group_vectors_feed_assembly():
     labels = np.array([1, 0, 1, 0, 1, 0])
     groups = np.array([0, 0, 1, 1, 0, 1])
     by_group = group_metric_vectors(scores, labels, groups, ["x", "y"], 0.5, 6)
-    m = assemble_matrix({"logit": by_group}, ("x", "y"), PROV)
-    assert m.values.shape == (2, 13)
-    assert np.all(m.values >= 0) and np.all(m.values <= 1)
+    _, values, _ = assemble_matrix({"logit": by_group}, ("x", "y"))
+    assert values.shape == (2, 13)
+    assert np.all(values >= 0) and np.all(values <= 1)

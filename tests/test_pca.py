@@ -11,6 +11,7 @@ from fairlens.pca import (
     full_matrix_pca,
     project,
 )
+from fairlens.pipeline import pca_record
 
 
 def eig_oracle(matrix):
@@ -144,10 +145,16 @@ def test_alignment_reference_at_origin():
         "logit": project(fit, p),
         "mlp": project(rng.uniform(size=(4, 13)), p),
     }
-    aligned = align_to_reference(projections, groups, "b", p.explained_variance_ratios)
-    for coords in aligned.coords.values():
+    aligned = align_to_reference(projections, groups, "b")
+    for coords in aligned.values():
         assert np.array_equal(coords[1], np.zeros(2))
-    assert aligned.reference == "b"
+    # the record keeps the reference with the aligned coordinates
+    rows = [f"{k}:{g}" for k in ("logit", "mlp") for g in groups]
+    _, rec = pca_record(rows, np.vstack([fit, fit[::-1]]), "logit",
+                        ["logit", "mlp"], groups, "b", 2)
+    assert rec["reference_group"] == "b"
+    for coords in rec["coords"].values():
+        assert coords[1] == [0.0, 0.0]
 
 
 def test_alignment_translation_invariance():
@@ -156,9 +163,9 @@ def test_alignment_translation_invariance():
     fit = rng.uniform(size=(2, 13))
     p = fit_pca(fit, 1)
     m2 = fit + rng.uniform(size=13)  # same geometry relative to reference
-    a = align_to_reference({"x": project(fit, p)}, groups, "a", p.explained_variance_ratios)
-    b = align_to_reference({"x": project(m2, p)}, groups, "a", p.explained_variance_ratios)
-    assert np.allclose(a.coords["x"], b.coords["x"], atol=1e-12)
+    a = align_to_reference({"x": project(fit, p)}, groups, "a")
+    b = align_to_reference({"x": project(m2, p)}, groups, "a")
+    assert np.allclose(a["x"], b["x"], atol=1e-12)
 
 
 def test_alignment_idempotent():
@@ -166,15 +173,14 @@ def test_alignment_idempotent():
     groups = ("a", "b", "c")
     fit = rng.uniform(size=(3, 13))
     p = fit_pca(fit, 2)
-    once = align_to_reference({"m": project(fit, p)}, groups, "a",
-                              p.explained_variance_ratios)
-    twice = align_to_reference(once.coords, groups, "a", once.ratios)
-    assert np.array_equal(once.coords["m"], twice.coords["m"])
+    once = align_to_reference({"m": project(fit, p)}, groups, "a")
+    twice = align_to_reference(once, groups, "a")
+    assert np.array_equal(once["m"], twice["m"])
 
 
 def test_alignment_missing_reference():
     with pytest.raises(ValueError, match="not among groups"):
-        align_to_reference({"m": np.zeros((2, 2))}, ("a", "b"), "z", np.array([1.0]))
+        align_to_reference({"m": np.zeros((2, 2))}, ("a", "b"), "z")
 
 
 def test_full_matrix_pca_rank_one():

@@ -53,13 +53,15 @@ def test_randint_inclusive_endpoints():
 
 
 def test_uniform_range_and_mean():
-    u = Stream("u").uniform(size=20000)
+    s = Stream("u")
+    u = np.array([s.uniform() for _ in range(20000)])
     assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
     assert abs(float(u.mean()) - 0.5) < 0.01
 
 
 def test_uniform_interval_scaling():
-    u = Stream("u2").uniform(0.1, 10.0, size=5000)
+    s = Stream("u2")
+    u = np.array([s.uniform(0.1, 10.0) for _ in range(5000)])
     assert float(u.min()) >= 0.1 and float(u.max()) < 10.0
 
 

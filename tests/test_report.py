@@ -10,21 +10,15 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from jsonschema import ValidationError
+from jsonschema import Draft202012Validator, ValidationError
 
 from fairlens import METRIC_NAMES
-from fairlens.cluster import correlation_distance, upgma
-from fairlens.fairmatrix import Provenance, assemble_matrix
-from fairlens.pca import align_to_reference, component_cap, fit_pca, project
-from fairlens.report import (aligned_from_record, bundle_json_text,
-                             export_bundle, heat_color,
-                             linkage_from_record, load_bundle,
-                             matrix_from_record, render_clustermap_svg,
+from fairlens.pipeline import cell_record
+from fairlens.report import (BUNDLE_SCHEMA, bundle_json_text, export_bundle,
+                             heat_color, load_bundle, render_clustermap_svg,
                              render_pca_scatter_svg,
                              render_robustness_heatmap_svg, render_all)
-from fairlens.robustness import CorrelationSummary
 
-PROV = Provenance(dataset="toy", feature="race", seed=0)
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -43,16 +37,13 @@ def random_tables(rng, kinds, groups, flag_one=False):
     return tables
 
 
-def toy_matrix(rng, kinds=("logit", "mlp"), groups=("a", "b", "c", "d", "e"),
+def toy_record(rng, kinds=("logit", "mlp"), groups=("a", "b", "c", "d", "e"),
                flag_one=False):
+    """A cell record of random tables, PCA on kinds[0] with reference
+    group groups[0]."""
     tables = random_tables(rng, list(kinds), groups, flag_one=flag_one)
-    return assemble_matrix(tables, groups, PROV)
-
-
-def toy_linkages(m):
-    col = upgma(correlation_distance(m.values, "columns", m.metric_names))
-    row = upgma(correlation_distance(m.values, "rows", m.rows))
-    return col, row
+    rec, _ = cell_record(tables, 0, groups, groups[0], list(kinds))
+    return rec
 
 
 # -- color scale -------------------------------------------------------------
@@ -79,9 +70,8 @@ def test_heat_color_interpolates_and_clips():
 
 def test_clustermap_element_counts():
     rng = np.random.default_rng(0)
-    m = toy_matrix(rng)  # 10 x 13
-    col, row = toy_linkages(m)
-    svg = render_clustermap_svg(m, col, row)
+    rec = toy_record(rng)  # 10 x 13
+    svg = render_clustermap_svg(rec, "toy")
     root = ET.fromstring(svg)
     cells = root.findall(f".//{SVG_NS}rect[@class='cell']")
     assert len(cells) == 130
@@ -93,94 +83,85 @@ def test_clustermap_element_counts():
 
 def test_clustermap_column_labels_carry_variance():
     rng = np.random.default_rng(1)
-    m = toy_matrix(rng)
-    col, row = toy_linkages(m)
-    svg = render_clustermap_svg(m, col, row)
-    for j, name in enumerate(m.metric_names):
-        assert f"{name} ({m.column_variances[j]:.3f})" in svg
-    for r in m.rows:
+    rec = toy_record(rng)
+    svg = render_clustermap_svg(rec, "toy")
+    for j, name in enumerate(METRIC_NAMES):
+        assert f"{name} ({rec['column_variances'][j]:.3f})" in svg
+    for r in rec["rows"]:
         assert r in svg
 
 
 def test_clustermap_hatches_flagged_cells_only():
     rng = np.random.default_rng(2)
-    m_plain = toy_matrix(rng)
+    plain = render_clustermap_svg(toy_record(rng), "toy")
     rng = np.random.default_rng(2)
-    m_flag = toy_matrix(rng, flag_one=True)
-    col, row = toy_linkages(m_plain)
-    plain = render_clustermap_svg(m_plain, col, row)
-    col, row = toy_linkages(m_flag)
-    flagged = render_clustermap_svg(m_flag, col, row)
+    flagged = render_clustermap_svg(toy_record(rng, flag_one=True), "toy")
     assert plain.count("url(#hatch)") == 0
     assert flagged.count("url(#hatch)") == 10  # one flagged metric per row
 
 
 def test_clustermap_rerender_is_byte_identical():
     rng = np.random.default_rng(3)
-    m = toy_matrix(rng)
-    col, row = toy_linkages(m)
-    assert render_clustermap_svg(m, col, row) == render_clustermap_svg(m, col, row)
+    rec = toy_record(rng)
+    assert render_clustermap_svg(rec, "toy") == render_clustermap_svg(rec, "toy")
 
 
 def test_clustermap_rejects_mismatched_linkage():
     rng = np.random.default_rng(4)
-    m = toy_matrix(rng)
-    col, row = toy_linkages(m)
+    rec = toy_record(rng)
+    swapped = dict(rec, col_linkage=rec["row_linkage"],
+                   row_linkage=rec["col_linkage"])
     with pytest.raises(ValueError, match="linkage sizes"):
-        render_clustermap_svg(m, row, col)
+        render_clustermap_svg(swapped, "toy")
 
 
 # -- pca scatter -------------------------------------------------------------
 
 def aligned_toy(rng, kinds=("logit", "mlp"), groups=("a", "b", "c", "d")):
-    m = toy_matrix(rng, kinds=kinds, groups=groups)
-    k = component_cap(len(groups))
-    from fairlens.fairmatrix import per_model_matrix
-
-    pca = fit_pca(per_model_matrix(m, kinds[0]).values, k)
-    proj = {kk: project(per_model_matrix(m, kk).values, pca) for kk in kinds}
-    return align_to_reference(proj, groups, "a", pca.explained_variance_ratios)
+    """The pca record of a toy cell: as many components as its group
+    count allows, reference group "a"."""
+    return toy_record(rng, kinds=kinds, groups=groups)["pca"]
 
 
 def test_scatter_requires_two_components():
     rng = np.random.default_rng(5)
-    aligned = aligned_toy(rng, groups=("a", "b"))  # cap(2) = 1
+    pca = aligned_toy(rng, groups=("a", "b"))  # cap(2) = 1
     with pytest.raises(ValueError, match="2 components"):
-        render_pca_scatter_svg(aligned)
+        render_pca_scatter_svg(pca)
 
 
 def test_scatter_marker_and_label_structure():
     rng = np.random.default_rng(6)
-    aligned = aligned_toy(rng, groups=("a", "b", "c"))  # cap(3) = 2
-    svg = render_pca_scatter_svg(aligned, title="toy")
+    pca = aligned_toy(rng, groups=("a", "b", "c"))  # cap(3) = 2
+    svg = render_pca_scatter_svg(pca, title="toy")
     root = ET.fromstring(svg)
     pts = [e for e in root.iter() if e.get("class") == "pt"]
     # 2 models x 3 groups in the plot plus one legend marker per model;
     # group legend entries are plain color swatches
     assert len(pts) == 2 * 3 + 2
     assert len([e for e in root.iter() if e.get("class") == "crosshair"]) == 2
-    assert f"component 1 ({aligned.ratios[0]:.2f} of variance)" in svg
-    assert f"component 2 ({aligned.ratios[1]:.2f} of variance)" in svg
+    assert f"component 1 ({pca['ratios'][0]:.2f} of variance)" in svg
+    assert f"component 2 ({pca['ratios'][1]:.2f} of variance)" in svg
     assert "a (reference)" in svg
 
 
 def test_scatter_reference_group_sits_on_crosshair():
     rng = np.random.default_rng(7)
-    aligned = aligned_toy(rng, groups=("a", "b", "c"))
-    for kind in aligned.coords:
-        assert np.allclose(aligned.coords[kind][0], 0.0)
+    pca = aligned_toy(rng, groups=("a", "b", "c"))
+    for kind in pca["coords"]:
+        assert np.allclose(pca["coords"][kind][0], 0.0)
 
 
 # -- robustness heatmap ------------------------------------------------------
 
 def test_robustness_heatmap_structure():
-    summary = CorrelationSummary(
-        conditions=(("d1", "race"), ("d1", "sex"), ("d2", "race")),
-        mean=np.array([[1.0, 0.5, -0.25], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]]),
-        std=np.array([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]]),
-        n_seeds=3,
-    )
-    svg = render_robustness_heatmap_svg(summary)
+    rob = {
+        "conditions": [["d1", "race"], ["d1", "sex"], ["d2", "race"]],
+        "mean": [[1.0, 0.5, -0.25], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]],
+        "std": [[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]],
+        "n_seeds": 3,
+    }
+    svg = render_robustness_heatmap_svg(rob)
     root = ET.fromstring(svg)
     cells = [e for e in root.iter() if e.get("class") == "cell"]
     assert len(cells) == 9
@@ -194,45 +175,7 @@ def test_robustness_heatmap_structure():
 # -- bundle serialization ----------------------------------------------------
 
 def tiny_bundle(rng):
-    m = toy_matrix(rng, groups=("a", "b", "c"))
-    col, row = toy_linkages(m)
-    col_d = correlation_distance(m.values, "columns", m.metric_names)
-    row_d = correlation_distance(m.values, "rows", m.rows)
-    from fairlens.fairmatrix import per_model_matrix
-
-    pca = fit_pca(per_model_matrix(m, "logit").values, 2)
-    proj = {k: project(per_model_matrix(m, k).values, pca)
-            for k in ("logit", "mlp")}
-    aligned = align_to_reference(proj, ("a", "b", "c"), "a",
-                                 pca.explained_variance_ratios)
-    rec = {
-        "seed": 0,
-        "rows": list(m.rows),
-        "values": [[float(v) for v in row] for row in m.values],
-        "flags": [[bool(v) for v in row] for row in m.flags],
-        "column_variances": [float(v) for v in m.column_variances],
-        "col_linkage": [[l, r, float(h), s] for l, r, h, s in col.merges],
-        "row_linkage": [[l, r, float(h), s] for l, r, h, s in row.merges],
-        "col_distance": {"labels": list(col_d.labels),
-                         "condensed": [float(v) for v in col_d.condensed],
-                         "degenerate_pairs": []},
-        "row_distance": {"labels": list(row_d.labels),
-                         "condensed": [float(v) for v in row_d.condensed],
-                         "degenerate_pairs": []},
-        "pca": {
-            "reference_model": "logit",
-            "reference_group": "a",
-            "k": 2,
-            "eigenvectors": [[float(v) for v in row]
-                             for row in pca.eigenvectors],
-            "column_means": [float(v) for v in pca.column_means],
-            "ratios": [float(v) for v in pca.explained_variance_ratios],
-            "group_labels": ["a", "b", "c"],
-            "coords": {k: [[float(v) for v in row] for row in aligned.coords[k]]
-                       for k in ("logit", "mlp")},
-        },
-        "full_pca_ratios": [0.7, 0.2],
-    }
+    rec = toy_record(rng, groups=("a", "b", "c"))  # cap(3) = 2 components
     return {
         "schema_version": 1,
         "mode": "full",
@@ -267,12 +210,10 @@ def test_bundle_round_trips_bit_for_bit(tmp_path):
     export_bundle(bundle, path)
     loaded = load_bundle(path)
     assert bundle_json_text(loaded) == path.read_text(encoding="utf-8")
-    m0 = matrix_from_record("toy", "race", bundle["datasets"][0]["features"][0]
-                            ["results"][0])
-    m1 = matrix_from_record("toy", "race", loaded["datasets"][0]["features"][0]
-                            ["results"][0])
-    assert np.array_equal(m0.values, m1.values)
-    assert m0.rows == m1.rows
+    r0 = bundle["datasets"][0]["features"][0]["results"][0]
+    r1 = loaded["datasets"][0]["features"][0]["results"][0]
+    assert np.array_equal(np.asarray(r0["values"]), np.asarray(r1["values"]))
+    assert r0["rows"] == r1["rows"]
 
 
 def test_bundle_floats_survive_17_digit_round_trip(tmp_path):
@@ -294,6 +235,12 @@ def test_bundle_keys_are_sorted_and_text_is_stable(tmp_path):
     obj = json.loads(text)
     assert list(obj) == sorted(obj)
     assert text.index('"datasets"') < text.index('"metric_names"')
+
+
+def test_bundle_schema_is_a_valid_schema():
+    # bundles are validated against a prebuilt validator, which does not
+    # check the schema itself
+    Draft202012Validator.check_schema(BUNDLE_SCHEMA)
 
 
 def test_schema_rejects_feature_without_results():
@@ -320,15 +267,16 @@ def test_non_finite_floats_are_refused():
         bundle_json_text(bundle)
 
 
-def test_record_rehydration_matches_inputs():
+def test_record_rehydration_matches_inputs(tmp_path):
+    # the loaded record is what the renderers read: its trees, reference
+    # and coordinates keep the shapes the cell was built with
     rng = np.random.default_rng(14)
-    bundle = tiny_bundle(rng)
-    rec = bundle["datasets"][0]["features"][0]["results"][0]
-    link = linkage_from_record(rec["col_linkage"])
-    assert link.n_leaves == 13
-    aligned = aligned_from_record(rec["pca"])
-    assert aligned.reference == "a"
-    assert aligned.coords["logit"].shape == (3, 2)
+    export_bundle(tiny_bundle(rng), tmp_path / "bundle.json")
+    rec = load_bundle(tmp_path / "bundle.json")["datasets"][0]["features"][0][
+        "results"][0]
+    assert len(rec["col_linkage"]) + 1 == 13
+    assert rec["pca"]["reference_group"] == "a"
+    assert np.shape(rec["pca"]["coords"]["logit"]) == (3, 2)
 
 
 # -- render_all --------------------------------------------------------------

@@ -9,6 +9,7 @@ from fairlens.robustness import (
     correlation_matrix,
     distance_vector_correlation,
 )
+from fairlens.pipeline import _robustness_summary
 
 LABELS_13 = tuple(f"m{i}" for i in range(13))
 
@@ -68,27 +69,29 @@ def test_correlation_matrix_shape_and_symmetry():
 def test_aggregate_single_seed():
     conds = [("d1", "f1"), ("d2", "f2")]
     m = np.array([[1.0, 0.3], [0.3, 1.0]])
-    s = aggregate_over_seeds(conds, [m])
-    assert np.array_equal(s.mean, m)
-    assert np.array_equal(s.std, np.zeros((2, 2)))
-    assert s.n_seeds == 1
+    mean, std = aggregate_over_seeds(conds, [m])
+    assert np.array_equal(mean, m)
+    assert np.array_equal(std, np.zeros((2, 2)))
+    rng = np.random.default_rng(0)
+    rob = _robustness_summary({c: {0: rand_dv(rng)} for c in conds}, [0])
+    assert rob["n_seeds"] == 1
 
 
 def test_aggregate_identical_seeds_zero_std():
     conds = [("d1", "f1"), ("d2", "f2")]
     m = np.array([[1.0, -0.2], [-0.2, 1.0]])
-    s = aggregate_over_seeds(conds, [m, m.copy(), m.copy()])
-    assert np.array_equal(s.std, np.zeros((2, 2)))
+    _, std = aggregate_over_seeds(conds, [m, m.copy(), m.copy()])
+    assert np.array_equal(std, np.zeros((2, 2)))
 
 
 def test_aggregate_mean_and_population_std():
     conds = [("d1", "f1"), ("d2", "f2")]
     m1 = np.array([[1.0, 0.4], [0.4, 1.0]])
     m2 = np.array([[1.0, 0.6], [0.6, 1.0]])
-    s = aggregate_over_seeds(conds, [m1, m2])
-    assert s.mean[0, 1] == pytest.approx(0.5)
-    assert s.std[0, 1] == pytest.approx(0.1)  # population std of {0.4, 0.6}
-    assert s.mean[0, 0] == 1.0 and s.std[0, 0] == 0.0
+    mean, std = aggregate_over_seeds(conds, [m1, m2])
+    assert mean[0, 1] == pytest.approx(0.5)
+    assert std[0, 1] == pytest.approx(0.1)  # population std of {0.4, 0.6}
+    assert mean[0, 0] == 1.0 and std[0, 0] == 0.0
 
 
 def test_aggregate_shape_mismatch():
