@@ -20,8 +20,6 @@ entries and the remaining cells keep going.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,11 +353,14 @@ def _search_all(jobs: list, n_jobs: int) -> tuple[dict, dict]:
     A worker that dies breaks the pool, and with it every search not yet
     finished. Each of those runs once more, alone in a fresh one-worker
     pool, so a search is lost only when it takes down its own worker; which
-    searches are lost then does not depend on timing.
+    searches are lost then does not depend on timing. The pool modules
+    load only here, so a serial run never imports multiprocessing.
     """
     if n_jobs == 1 or len(jobs) < 2:
         return {(seed, kind): outcome
                 for _, seed, kind, outcome in map(_search_job, jobs)}, {}
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     outcomes, broken, lost = {}, [], {}
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [pool.submit(_search_job, job) for job in jobs]

@@ -19,9 +19,9 @@ value was imputed (flagged) carry a hatched overlay.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 from jsonschema import Draft202012Validator, ValidationError
@@ -70,7 +70,9 @@ def _fmt(x: float) -> str:
 
 
 def _esc(s: str) -> str:
-    return escape(str(s), {'"': "&quot;"})
+    # & first, so the entities added after it are not escaped again
+    return (str(s).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 def _dendrogram_paths(merges: list, positions: dict[int, float],
@@ -540,7 +542,10 @@ class BundleError(ValueError):
 def load_bundle(path: str | Path) -> dict:
     """Read and validate a bundle.
 
-    A file that is not JSON or fails BUNDLE_SCHEMA raises BundleError.
+    A file that is not JSON or fails BUNDLE_SCHEMA raises BundleError,
+    and so does one holding a number that is not finite: the tokens NaN,
+    Infinity and -Infinity, or a literal such as 1e999 or a 400-digit
+    integer that overflows a float. bundle_json_text never writes one.
     Dataset and feature names become directories under the output
     directory of report, cluster and pca, so a name that is not a single
     directory name raises BundleError too, and so does a result record
@@ -549,9 +554,22 @@ def load_bundle(path: str | Path) -> dict:
     commands read the records as returned, so these checks are their
     only guard.
     """
+    def refuse(token: str):
+        shown = token if len(token) <= 24 else token[:21] + "..."
+        raise BundleError(f"{path}: non-finite number {shown} in bundle")
+
+    def finite(parse):
+        def checked(token: str):
+            if not math.isfinite(float(token)):
+                refuse(token)
+            return parse(token)
+        return checked
+
     try:
         with open(path, encoding="utf-8") as fh:
-            bundle = json.load(fh)
+            bundle = json.load(fh, parse_constant=refuse,
+                               parse_float=finite(float),
+                               parse_int=finite(int))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleError(f"{path}: not a JSON bundle ({exc})") from exc
     try:

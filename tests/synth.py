@@ -1,5 +1,12 @@
 """Synthetic stand-in datasets for self-contained pipeline runs.
 
+This test helper wrote the committed data/recidivism_standin.csv
+(n_rows=7000, seed=0); from the repository root,
+
+    PYTHONPATH=src python3 tests/synth.py data/recidivism_standin.csv
+
+writes it again byte for byte (tests/test_synth.py checks this).
+
 The recidivism generator mimics the shape of a two-year felony screening
 table: five race groups with realistic size imbalance, a skewed sex
 column, count-like criminal-history features, and a binary label whose
@@ -21,7 +28,7 @@ import csv
 import math
 from pathlib import Path
 
-from .rand import Stream
+from fairlens.rand import Stream
 
 RECID_COLUMNS = (
     "age",

@@ -28,7 +28,7 @@ from fairlens.metrics import (confusion_at_threshold, balanced_accuracy,
 from fairlens.pca import fit_pca
 from fairlens.rand import Stream
 from fairlens.report import load_bundle
-from fairlens.synth import write_recidivism_csv
+from synth import write_recidivism_csv
 
 REPO = Path(__file__).resolve().parent.parent
 COMPLEMENT_PAIRS = (("TPR", "FNR"), ("TNR", "FPR"),

@@ -20,7 +20,7 @@ from fairlens.cli import (ConfigError, PredictionFileError, RunConfig,
                           _resolve_seeds, audit_external_predictions,
                           load_run_config, main)
 from fairlens.report import load_bundle
-from fairlens.synth import write_recidivism_csv
+from synth import write_recidivism_csv
 
 
 def write_spec(dir_path: Path, csv_name: str, name: str = "tiny") -> Path:
@@ -734,6 +734,25 @@ def test_unreadable_bundle_exits_2(tmp_path, capsys, request, text):
             main(argv + ["--bundle", str(path), "--out", str(tmp_path / "X")])
         assert exc.value.code == 2, argv
         assert f"error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   "1" + "0" * 400])
+def test_non_finite_bundle_number_exits_2(tmp_path, capsys, tiny_run, token):
+    # json.load reads the tokens, 1e999 overflows to inf and the integer
+    # overflows a float; the bundle writer would refuse all of them
+    _, out = tiny_run
+    bundle = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+    _first_cell(bundle)["values"][0][0] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle).replace('"@"', token), encoding="utf-8")
+    for argv in (["report"], ["cluster"], ["pca", "--components", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bundle", str(path), "--out", str(tmp_path / "X")])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: {path}: non-finite number {token[:21]}" in err
     assert not (tmp_path / "X").exists()
 
 

@@ -7,6 +7,7 @@ output is part of the contract.
 
 import json
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from jsonschema import Draft202012Validator, ValidationError
 
 from fairlens import METRIC_NAMES
 from fairlens.pipeline import cell_record
-from fairlens.report import (BUNDLE_SCHEMA, bundle_json_text, export_bundle,
+from fairlens.report import (BUNDLE_SCHEMA, _esc, bundle_json_text, export_bundle,
                              heat_color, load_bundle, render_clustermap_svg,
                              render_pca_scatter_svg,
                              render_robustness_heatmap_svg, render_all)
@@ -67,6 +68,13 @@ def test_heat_color_interpolates_and_clips():
 
 
 # -- clustermap --------------------------------------------------------------
+
+@pytest.mark.parametrize("text", ["", "&amp;", "a<b>c", '"q"', "'s'",
+                                  "&<>\"'", "Ünïcødé → ≥ 名前"])
+def test_esc_matches_saxutils_escape(text):
+    # the SVG text escape the golden output hashes were written with
+    assert _esc(text) == escape(text, {'"': "&quot;"})
+
 
 def test_clustermap_element_counts():
     rng = np.random.default_rng(0)

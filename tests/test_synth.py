@@ -1,8 +1,13 @@
 """Synthetic recidivism generator: determinism and calibration direction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from fairlens.synth import RECID_COLUMNS, recidivism_rows, write_recidivism_csv
+from synth import RECID_COLUMNS, recidivism_rows, write_recidivism_csv
 
 
 def test_rows_are_deterministic():
@@ -54,3 +59,14 @@ def test_csv_writer_round_trips(tmp_path):
     assert rows[0] == list(RECID_COLUMNS)
     assert len(rows) == 51
     assert rows[1] == [str(v) for v in recidivism_rows(50, seed=2)[0]]
+
+
+def test_helper_regenerates_committed_standin(tmp_path):
+    # the command in tests/synth.py's docstring, into a scratch path
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "standin.csv"
+    subprocess.run([sys.executable, str(root / "tests" / "synth.py"), str(out)],
+                   check=True, capture_output=True,
+                   env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    committed = root / "data" / "recidivism_standin.csv"
+    assert out.read_bytes() == committed.read_bytes()
