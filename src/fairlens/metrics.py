@@ -175,12 +175,14 @@ def select_threshold(scores, labels) -> ThresholdChoice:
         raise ValueError(f"length mismatch: {scores.shape} vs {labels.shape}")
     if scores.size == 0:
         raise ValueError("empty validation set")
-    if np.unique(labels).size < 2:
+    # return_counts keeps np.unique off its hash path, which imports numpy.ma
+    if np.unique(labels, return_counts=True)[0].size < 2:
         return ThresholdChoice(t_max=0.5, achieved_ba=0.5,
                                n_candidates=0, degenerate=True)
-    distinct = np.unique(scores)
+    distinct = np.unique(scores, return_counts=True)[0]
     mids = (distinct[:-1] + distinct[1:]) / 2.0
-    candidates = np.unique(np.concatenate(([_EDGE], mids, [1.0 - _EDGE])))
+    candidates = np.unique(np.concatenate(([_EDGE], mids, [1.0 - _EDGE])),
+                           return_counts=True)[0]
 
     order = np.argsort(scores)
     pos_below = np.concatenate(([0], np.cumsum(labels[order] == 1)))

@@ -34,6 +34,21 @@ class TrainingError(RuntimeError):
     """A draw failed to train; the search skips it and continues."""
 
 
+# LinAlgError is a ValueError; a ValueError from a kind's fit or predict
+# (a bad shape, an out-of-range parameter) fails the draw, not the run
+FAILURES = (TrainingError, ArithmeticError, ValueError)
+
+
+@dataclass
+class FoldData:
+    """One fold's training and validation slices (already normalized)."""
+
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_val: np.ndarray
+    y_val: np.ndarray
+
+
 @dataclass(frozen=True)
 class HyperDraw:
     kind: str
@@ -101,7 +116,8 @@ def _validate_training_data(kind: str, X: np.ndarray, y: np.ndarray) -> None:
         raise TrainingError("empty training set")
     if not np.all(np.isfinite(X)):
         raise TrainingError("non-finite feature values")
-    classes = np.unique(y)
+    # return_counts keeps np.unique off its hash path, which imports numpy.ma
+    classes = np.unique(y, return_counts=True)[0]
     if not np.all(np.isin(classes, (0, 1))):
         raise TrainingError(f"labels must be 0/1, got {classes[:5]}")
     if classes.size < 2:
@@ -110,51 +126,75 @@ def _validate_training_data(kind: str, X: np.ndarray, y: np.ndarray) -> None:
         log.warning("%s trained on single-class data; scores will be constant", kind)
 
 
-def train(draw: HyperDraw, X, y, stream: Stream | None = None) -> TrainedModel:
-    """Fit one draw. stream supplies the stochastic kinds' randomness (mlp
-    init and batch order, rf bootstrap); deterministic kinds ignore it."""
+def _model(draw: HyperDraw, n_features: int):
+    """The unfitted model of one draw."""
     from .bayes import GaussianNb
     from .linear import Logit
     from .neighbors import Knn
     from .nn import Mlp
     from .trees import DecisionTree, RandomForest
 
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    _validate_training_data(draw.kind, X, y)
-
     if draw.kind == "logit":
-        model = Logit(c=draw.get("C"))
-        model.fit(X, y)
-    elif draw.kind == "mlp":
-        if stream is None:
-            raise TrainingError("mlp requires a random stream")
-        f = X.shape[1]
+        return Logit(c=draw.get("C"))
+    if draw.kind == "mlp":
         p = draw.get("P")
-        model = Mlp(hidden1=p * f, hidden2=(p + 1) * f,
-                    epochs=draw.get("epochs"), batch_size=draw.get("batch"),
-                    l2=draw.get("l2"))
-        model.fit(X, y, stream)
-    elif draw.kind == "knn":
-        model = Knn(n_neighbors=draw.get("neighbors"), metric=draw.get("metric"))
-        model.fit(X, y)
-    elif draw.kind == "rf":
-        if stream is None:
-            raise TrainingError("rf requires a random stream")
-        model = RandomForest(n_estimators=draw.get("estimators"),
-                             max_depth=draw.get("max_depth"),
-                             min_leaf=draw.get("min_leaf"))
-        model.fit(X, y, stream)
-    elif draw.kind == "tree":
-        model = DecisionTree(max_depth=draw.get("max_depth"),
-                             min_leaf=draw.get("min_leaf"))
-        model.fit(X, y)
-    elif draw.kind == "nb":
-        model = GaussianNb()
-        model.fit(X, y)
-    else:
-        raise TrainingError(f"unknown kind {draw.kind!r}")
-    return TrainedModel(kind=draw.kind, model=model, draw=draw)
+        return Mlp(hidden1=p * n_features, hidden2=(p + 1) * n_features,
+                   epochs=draw.get("epochs"), batch_size=draw.get("batch"),
+                   l2=draw.get("l2"))
+    if draw.kind == "knn":
+        return Knn(n_neighbors=draw.get("neighbors"), metric=draw.get("metric"))
+    if draw.kind == "rf":
+        return RandomForest(n_estimators=draw.get("estimators"),
+                            max_depth=draw.get("max_depth"),
+                            min_leaf=draw.get("min_leaf"))
+    if draw.kind == "tree":
+        return DecisionTree(max_depth=draw.get("max_depth"),
+                            min_leaf=draw.get("min_leaf"))
+    if draw.kind == "nb":
+        return GaussianNb()
+    raise TrainingError(f"unknown kind {draw.kind!r}")
+
+
+def train(draw: HyperDraw, folds: list[FoldData], streams: list[Stream | None]
+          ) -> tuple[list[TrainedModel], Exception | None]:
+    """Fit one draw on each fold's training rows, in fold order.
+
+    streams[i] supplies fold i's randomness (mlp init and batch order, rf
+    bootstrap); deterministic kinds ignore it. Returns the fitted models
+    and None, or, once a fold fails, the models of the folds before it and
+    that fold's error; later folds are not fitted. The mlp folds train
+    together in one lockstep loop (nn.fit_folds), each to the weights a fit
+    on its rows alone gives.
+    """
+    from .nn import DIVERGED, fit_folds
+
+    models, Xs, ys, fold_streams, error = [], [], [], [], None
+    for fold, stream in zip(folds, streams):
+        try:
+            X = np.asarray(fold.X_train, dtype=np.float64)
+            y = np.asarray(fold.y_train, dtype=np.int64)
+            _validate_training_data(draw.kind, X, y)
+            if draw.kind in ("mlp", "rf") and stream is None:
+                raise TrainingError(f"{draw.kind} requires a random stream")
+            model = _model(draw, X.shape[1])
+            if draw.kind == "rf":
+                model.fit(X, y, stream)
+            elif draw.kind != "mlp":
+                model.fit(X, y)
+        except FAILURES as exc:
+            error = exc
+            break
+        models.append(model)
+        Xs.append(X)
+        ys.append(y)
+        fold_streams.append(stream)
+    if draw.kind == "mlp" and models:
+        fit_folds(models, Xs, ys, fold_streams)
+        for i, net in enumerate(models):
+            if net.diverged:
+                models, error = models[:i], TrainingError(DIVERGED)
+                break
+    return [TrainedModel(kind=draw.kind, model=m, draw=draw) for m in models], error
 
 
 def predict_scores(trained: TrainedModel, X) -> np.ndarray:

@@ -23,7 +23,8 @@ class GaussianNb:
         self.log_priors: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianNb":
-        classes = np.unique(y)
+        # return_counts keeps np.unique off its hash path, which imports numpy.ma
+        classes = np.unique(y, return_counts=True)[0]
         if classes.size < 2:
             raise TrainingError("nb: single-class training set")
         eps = VAR_SMOOTHING * float(np.var(X, axis=0).max())

@@ -1,11 +1,13 @@
 """Random hyperparameter search across folds with AUC-based selection.
 
-Each draw is trained once per fold and scored by validation AUC; a draw's
-search score is its mean across folds. The winner per kind is the draw with
-the highest mean, ties broken by earliest draw index. Draws with identical
-parameters (common for coarse ranges, and always for nb) are fitted once
-and share their result. A draw that fails on any fold is marked failed and
-skipped; a kind whose draws all fail is excluded with a warning.
+Each draw is trained on all folds by one base.train call (the mlp folds
+train together in lockstep) and scored by validation AUC per fold; a
+draw's search score is its mean across folds. The winner per kind is the
+draw with the highest mean, ties broken by earliest draw index. Draws with
+identical parameters (common for coarse ranges, and always for nb) are
+fitted once and share their result. A draw that fails on any fold is
+marked failed and skipped; a kind whose draws all fail is excluded with a
+warning.
 """
 
 from __future__ import annotations
@@ -17,23 +19,9 @@ import numpy as np
 
 from ..metrics import auc_or_default
 from ..rand import Stream
-from .base import HyperDraw, TrainedModel, TrainingError, train
+from .base import FAILURES, FoldData, HyperDraw, TrainedModel, train
 
 log = logging.getLogger("fairlens.models")
-
-# LinAlgError is a ValueError; a ValueError from a kind's fit or predict
-# (a bad shape, an out-of-range parameter) fails the draw, not the run
-_FAILURE_KINDS = (TrainingError, ArithmeticError, ValueError)
-
-
-@dataclass
-class FoldData:
-    """One fold's training and validation slices (already normalized)."""
-
-    X_train: np.ndarray
-    y_train: np.ndarray
-    X_val: np.ndarray
-    y_val: np.ndarray
 
 
 @dataclass
@@ -103,19 +91,22 @@ def search_kind(
                                       error=prior.error))
             continue
         result = DrawResult(draw=draw)
-        fold_models: list[TrainedModel] = []
+        streams = [Stream(*base_ids, "train", f, kind, sig)
+                   for f in range(len(folds))]
         fold_val_scores: list[np.ndarray] = []
         try:
-            for f, fold in enumerate(folds):
-                stream = Stream(*base_ids, "train", f, kind, sig)
-                model = train(draw, fold.X_train, fold.y_train, stream)
+            fold_models, error = train(draw, folds, streams)
+            # as in a fold-by-fold loop, a failed fold's error comes
+            # after the folds before it are scored
+            for fold, model in zip(folds, fold_models):
                 val_scores = model.predict_scores(fold.X_val)
                 auc, _ = auc_or_default(val_scores, fold.y_val)
                 result.fold_val_aucs.append(auc)
-                fold_models.append(model)
                 fold_val_scores.append(val_scores)
+            if error is not None:
+                raise error
             result.mean_val_auc = float(np.mean(result.fold_val_aucs))
-        except _FAILURE_KINDS as exc:
+        except FAILURES as exc:
             result.error = f"{type(exc).__name__}: {exc}"
             result.fold_val_aucs = []
             log.warning("%s draw %d failed: %s", kind, draw.index, result.error)

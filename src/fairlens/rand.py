@@ -116,8 +116,16 @@ class Stream:
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fast random permutation of range(n): stable argsort of raw keys."""
-        return np.argsort(self.raw(n), kind="stable")
+        """Random permutation of range(n): the stable argsort of n raw keys.
+
+        Distinct keys have one sorted order, so the default (faster) sort
+        gives it; the stable sort runs only when two keys are equal."""
+        keys = self.raw(n)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(keys, kind="stable")
+        return order
 
     def permutations(self, count: int, n: int) -> np.ndarray:
         """count successive permutation(n) draws, one per row, from one

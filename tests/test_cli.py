@@ -396,6 +396,19 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
+def test_parallel_jobs_match_serial_with_lockstep_mlp(tmp_path):
+    # each worker trains a draw's mlp folds in lockstep, as a serial run does
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=300, seed=9)
+    spec = write_spec(tmp_path, "t.csv", name="parmlp")
+    args = ["run", "--datasets", str(spec), "--seeds", "2", "--folds", "3",
+            "--search-draws", "2", "--models", "logit,mlp"]
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "par2")]) == 0
+    a = (tmp_path / "serial" / "bundle.json").read_bytes()
+    b = (tmp_path / "par2" / "bundle.json").read_bytes()
+    assert a == b
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched search")
 def test_dead_worker_fails_its_search_not_the_run(tmp_path, monkeypatch,

@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairlens.models.base import (KNN_METRICS, MODEL_KINDS, HyperDraw,
-                                  TrainingError, sample_hypers, train)
+from fairlens.metrics import auc_or_default
+from fairlens.models.base import (FAILURES, KNN_METRICS, MODEL_KINDS,
+                                  HyperDraw, TrainingError, sample_hypers,
+                                  train)
 from fairlens.models.bayes import GaussianNb
 from fairlens.models.linear import Logit, logit_objective, sigmoid
 from fairlens.models.neighbors import Knn
-from fairlens.models.nn import LEARNING_RATE, Mlp
+from fairlens.models.nn import LEARNING_RATE, Mlp, fit_folds
 from fairlens.models.search import (DrawResult, FoldData, search_kind,
                                     select_best_model)
 from fairlens.models.trees import DecisionTree, RandomForest
@@ -236,33 +238,45 @@ def test_mlp_weight_bits_match_oracle(n, f, hidden):
                           bits(oracle_forward(old, X)[5].ravel()))
 
 
-def test_mlp_gradients_match_finite_differences():
+def test_mlp_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(8, 2))
     y = rng.integers(0, 2, size=8)
-    net = Mlp(hidden1=3, hidden2=4, l2=0.01)
-    net._init_params(2, Stream("gradcheck"))
-    # Zero biases leave rows with all-dead ReLUs sitting exactly on the
-    # kink, where two-sided finite differences are meaningless. Nudge every
-    # parameter to a generic point before comparing.
-    for b in net.biases:
-        b += rng.normal(scale=0.1, size=b.shape)
+    init = Mlp._init_params
+    start = {}
+
+    def nudged_init(self, n_features, stream):
+        # Zero biases leave rows with all-dead ReLUs sitting exactly on the
+        # kink, where two-sided finite differences are meaningless. Nudge
+        # every parameter to a generic point before comparing.
+        init(self, n_features, stream)
+        for b in self.biases:
+            b += rng.normal(scale=0.1, size=b.shape)
+        start["w"] = [w.copy() for w in self.weights]
+        start["b"] = [b.copy() for b in self.biases]
+
+    # one epoch of one batch holding every row is one SGD step, so the
+    # gradient it took is (start - end) / LEARNING_RATE
+    monkeypatch.setattr(Mlp, "_init_params", nudged_init)
+    net = Mlp(hidden1=3, hidden2=4, l2=0.01, epochs=1, batch_size=8)
+    net.fit(X, y, Stream("gradcheck"))
+    ws, bs = start["w"], start["b"]
+    gws = [(w0 - w1) / LEARNING_RATE for w0, w1 in zip(ws, net.weights)]
+    gbs = [(b0 - b1) / LEARNING_RATE for b0, b1 in zip(bs, net.biases)]
 
     def loss():
-        """Mean BCE plus the L2 weight penalty: the loss _grads descends."""
-        w, b = net.weights, net.biases
-        a1 = np.maximum(X @ w[0] + b[0], 0.0)
-        a2 = np.maximum(a1 @ w[1] + b[1], 0.0)
-        z3 = a2 @ w[2] + b[2]
+        """Mean BCE plus the L2 weight penalty: the loss training descends."""
+        a1 = np.maximum(X @ ws[0] + bs[0], 0.0)
+        a2 = np.maximum(a1 @ ws[1] + bs[1], 0.0)
+        z3 = a2 @ ws[2] + bs[2]
         yc = y.reshape(-1, 1)
         ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
         return float(np.mean(ce)) + 0.5 * net.l2 * sum(
-            float(np.sum(wi * wi)) for wi in w)
+            float(np.sum(wi * wi)) for wi in ws)
 
-    gws, gbs = net._grads(X, y.reshape(-1, 1).astype(np.float64))
     h = 1e-6
     for layer in range(3):
-        W = net.weights[layer]
+        W = ws[layer]
         for idx in [(0, 0), (W.shape[0] - 1, W.shape[1] - 1)]:
             orig = W[idx]
             W[idx] = orig + h
@@ -272,7 +286,7 @@ def test_mlp_gradients_match_finite_differences():
             W[idx] = orig
             fd = (up - dn) / (2 * h)
             assert gws[layer][idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
-        B = net.biases[layer]
+        B = bs[layer]
         orig = B[0]
         B[0] = orig + h
         up = loss()
@@ -283,15 +297,22 @@ def test_mlp_gradients_match_finite_differences():
 
 
 def test_mlp_non_finite_bias_is_a_training_error(monkeypatch):
-    # finite weights but a NaN bias used to pass and give NaN scores
-    def nan_bias_grads(self, X, y):
-        return ([np.zeros_like(w) for w in self.weights],
-                [np.full_like(b, np.nan) for b in self.biases])
+    # finite weights but a NaN bias used to pass and give NaN scores; with
+    # no epochs the init is what training leaves
+    init = Mlp._init_params
 
-    monkeypatch.setattr(Mlp, "_grads", nan_bias_grads)
+    def nan_bias_init(self, n_features, stream):
+        init(self, n_features, stream)
+        for b in self.biases:
+            b[:] = np.nan
+
+    monkeypatch.setattr(Mlp, "_init_params", nan_bias_init)
     X, y = blobs(np.random.default_rng(22), n=20)
+    net = Mlp(hidden1=3, hidden2=4, epochs=0)
     with pytest.raises(TrainingError, match="non-finite"):
-        Mlp(hidden1=3, hidden2=4, epochs=1).fit(X, y, Stream("nan-bias"))
+        net.fit(X, y, Stream("nan-bias"))
+    assert all(np.all(np.isfinite(w)) for w in net.weights)
+    assert all(np.all(np.isnan(b)) for b in net.biases)
 
 
 def test_mlp_learns_separable_blobs():
@@ -312,6 +333,99 @@ def test_mlp_deterministic_given_stream_key():
     assert all(np.array_equal(x, z) for x, z in zip(a.weights, b.weights))
     c = Mlp(hidden1=3, hidden2=4, epochs=5).fit(X, y, Stream("k", 2))
     assert not all(np.array_equal(x, z) for x, z in zip(a.weights, c.weights))
+
+
+# A draw's folds train in lockstep (fit_folds): each fold must still get
+# the bits of a fit on its rows alone.
+
+@pytest.mark.parametrize("sizes, batch", [
+    ((45, 33, 15), 16),      # unequal: 2, 2 and 0 full batches, all with tails
+    ((7, 3, 15), 16),        # every fold shorter than one batch
+    ((32, 64, 16), 16),      # exact multiples of the batch, no tails
+    ((17, 48, 5, 40), 16),   # full-batch counts 1, 3, 0, 2: folds reordered
+])
+@pytest.mark.parametrize("f, hidden", [(3, (4, 5)), (1, (1, 2))])
+def test_lockstep_folds_match_oracle(sizes, batch, f, hidden):
+    rng = np.random.default_rng(sum(sizes) * f)
+    Xs = [rng.normal(size=(n, f)) for n in sizes]
+    ys = [(rng.random(n) < 0.4).astype(np.int64) for n in sizes]
+    kw = dict(hidden1=hidden[0], hidden2=hidden[1], epochs=3, batch_size=batch)
+    nets = [Mlp(**kw) for _ in sizes]
+    fit_folds(nets, Xs, ys, [Stream("lockstep", i) for i in range(len(sizes))])
+    for i, net in enumerate(nets):
+        old = oracle_fit(Mlp(**kw), Xs[i], ys[i], Stream("lockstep", i))
+        for got, want in zip(net.weights + net.biases, old.weights + old.biases):
+            assert np.array_equal(bits(got), bits(want))
+
+
+def test_one_fold_train_equals_mlp_fit():
+    rng = np.random.default_rng(24)
+    X, y = blobs(rng, n=70)
+    draw = HyperDraw(kind="mlp", index=0,
+                     params=(("P", 2), ("epochs", 3), ("batch", 16), ("l2", 0.01)))
+    model = train_one(draw, X, y, Stream("one-fold"))
+    net = Mlp(hidden1=4, hidden2=6, epochs=3, batch_size=16).fit(
+        X, y, Stream("one-fold"))
+    got, want = model.model, net
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(bits(a), bits(b))
+
+
+def fold_order_results(kind, draws, folds, base_ids):
+    """(fold AUCs, mean, error) per draw from a loop that trains and scores
+    one fold at a time and stops at a draw's first failing fold."""
+    out = []
+    for draw in draws:
+        aucs = []
+        try:
+            for f, fold in enumerate(folds):
+                stream = Stream(*base_ids, "train", f, kind, draw.signature)
+                model = train_one(draw, fold.X_train, fold.y_train, stream)
+                scores = model.predict_scores(fold.X_val)
+                aucs.append(auc_or_default(scores, fold.y_val)[0])
+        except FAILURES as exc:
+            out.append(([], None, f"{type(exc).__name__}: {exc}"))
+        else:
+            out.append((aucs, float(np.mean(aucs)), None))
+    return out
+
+
+def small_mlp_draws():
+    return [HyperDraw(kind="mlp", index=i,
+                      params=(("P", p), ("epochs", 3), ("batch", 16), ("l2", 0.01)))
+            for i, p in enumerate((1, 2))]
+
+
+def broken_folds(how):
+    folds = make_folds(np.random.default_rng(25))
+    if how in ("diverges", "both"):
+        folds[1].X_train = folds[1].X_train * 1e200  # finite, but overflows
+    if how in ("invalid", "both"):
+        folds[2].y_train = np.ones_like(folds[2].y_train)
+    if how == "scores-first":
+        # fold 0 scores NaN before fold 2 fails validation
+        folds[0].X_val = np.full_like(folds[0].X_val, np.nan)
+        folds[2].y_train = np.ones_like(folds[2].y_train)
+    return folds
+
+
+# the diverging fold and the NaN validation rows overflow on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("how", ["diverges", "invalid", "both", "scores-first"])
+def test_failing_fold_records_the_fold_order_error(how):
+    folds = broken_folds(how)
+    for kind in MODEL_KINDS:
+        draws = small_mlp_draws() if kind == "mlp" else sample_hypers(kind, 2, 0)
+        outcome = search_kind(kind, draws, folds, base_ids=("toy", 0))
+        got = [(r.fold_val_aucs, r.mean_val_auc, r.error)
+               for r in outcome.report.results]
+        assert got == fold_order_results(kind, draws, folds, ("toy", 0)), kind
+    errors = {r.error for r in search_kind("mlp", small_mlp_draws(), folds,
+                                           ("toy", 0)).report.results}
+    want = {"diverges": "TrainingError: mlp diverged to non-finite weights or biases",
+            "invalid": "TrainingError: mlp: single-class training set",
+            "scores-first": "TrainingError: mlp produced non-finite scores"}
+    assert errors == {want["diverges" if how == "both" else how]}
 
 
 # ------------------------------------------------------------------------ knn
@@ -1100,6 +1214,15 @@ def test_nb_handles_constant_feature():
 
 # -------------------------------------------------------------- train dispatch
 
+def train_one(draw, X, y, stream=None):
+    """The one-fold train call: its model, or its error raised."""
+    fold = FoldData(X_train=X, y_train=y, X_val=X[:0], y_val=y[:0])
+    models, error = train(draw, [fold], [stream])
+    if error is not None:
+        raise error
+    return models[0]
+
+
 def test_scores_in_unit_interval_for_all_kinds():
     rng = np.random.default_rng(14)
     X, y = blobs(rng, n=50)
@@ -1110,7 +1233,7 @@ def test_scores_in_unit_interval_for_all_kinds():
             draw = HyperDraw(kind="mlp", index=0,
                              params=(("P", 2), ("epochs", 5), ("batch", 16),
                                      ("l2", 0.01)))
-        model = train(draw, X, y, Stream("zoo", kind))
+        model = train_one(draw, X, y, Stream("zoo", kind))
         s = model.predict_scores(test)
         assert np.all((s >= 0.0) & (s <= 1.0)), kind
         assert s.shape == (20,)
@@ -1123,10 +1246,10 @@ def test_single_class_policy():
     for kind in ("logit", "mlp", "nb"):
         draw = sample_hypers(kind, 1, 0)[0]
         with pytest.raises(TrainingError, match="single-class"):
-            train(draw, X, y, Stream("sc", kind))
+            train_one(draw, X, y, Stream("sc", kind))
     for kind in ("knn", "tree", "rf"):
         draw = sample_hypers(kind, 1, 0)[0]
-        model = train(draw, X, y, Stream("sc", kind))
+        model = train_one(draw, X, y, Stream("sc", kind))
         assert np.allclose(model.predict_scores(X), 1.0)
 
 
@@ -1134,13 +1257,13 @@ def test_nonfinite_features_rejected():
     X = np.array([[1.0, np.nan], [0.0, 1.0]])
     y = np.array([0, 1])
     with pytest.raises(TrainingError, match="non-finite"):
-        train(sample_hypers("logit", 1, 0)[0], X, y)
+        train_one(sample_hypers("logit", 1, 0)[0], X, y)
 
 
 def test_dimension_mismatch_on_predict():
     rng = np.random.default_rng(16)
     X, y = blobs(rng, n=30)
-    model = train(sample_hypers("logit", 1, 0)[0], X, y)
+    model = train_one(sample_hypers("logit", 1, 0)[0], X, y)
     with pytest.raises(ValueError, match="features"):
         model.predict_scores(np.ones((5, 7)))
 

@@ -86,6 +86,26 @@ def test_permutation_covers_range():
     assert sorted(p.tolist()) == list(range(64))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 4200])
+def test_permutation_is_the_stable_argsort_of_its_keys(n):
+    keys = Stream("perm", n).raw(n)
+    p = Stream("perm", n).permutation(n)
+    assert np.array_equal(p, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("distinct", [1, 2, 5, 4000])
+def test_permutation_with_tied_keys_is_stable(monkeypatch, distinct):
+    # keys with planted ties: the default sort may order equal keys either
+    # way, so the stable sort must take over
+    keys = np.random.default_rng(distinct).integers(
+        0, distinct, size=4200).astype(np.uint64)
+    monkeypatch.setattr(Stream, "raw", lambda self, n: keys[:n].copy())
+    stable = np.argsort(keys, kind="stable")
+    if distinct in (2, 5):  # here the default sort is not the stable one
+        assert not np.array_equal(np.argsort(keys), stable)
+    assert np.array_equal(Stream("tie").permutation(4200), stable)
+
+
 def _fresh(prefix):
     """Stream("blk"), after an optional first draw."""
     s = Stream("blk")
