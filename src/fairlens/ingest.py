@@ -16,10 +16,8 @@ group extraction, and the dropped count is reported on the results.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -181,18 +179,16 @@ def read_columns(path: str | Path, names: list[str], error: type[Exception]
 
     The package's one CSV reader, for dataset and prediction files alike:
     RFC 4180, UTF-8, header row required. A record ends at "\\n", "\\r" or
-    "\\r\\n" outside quotes. Blank lines are skipped and not counted, so
-    row i of every column is on row i + 2, counting the header as row 1.
-    Cells missing from a short row are empty, and a repeated header name
-    reads its last column. Raises error, naming path, for an empty file,
-    bytes that are not UTF-8 or a name absent from the header, in that
-    order.
+    "\\r\\n" outside quotes, and a quoted cell reads as its unquoted text.
+    Blank lines are skipped and not counted, so row i of every column is on
+    row i + 2, counting the header as row 1. Cells missing from a short row
+    are empty, and a repeated header name reads its last column. Raises
+    error, naming path, for an empty file, bytes that are not UTF-8, a NUL
+    byte or a bad field anywhere in the file (_split_fields; these name the
+    line too) or a name absent from the header, in that order.
 
-    Two paths read by these rules. A file whose bytes hold no '"', no NUL
-    and no field longer than csv.field_size_limit() is split by numpy on
-    its bytes (_split_fields) and each column is coded without a str per
-    cell (_code_cells). Any other file is read by csv.reader and coded by
-    code_column. Which path a file takes depends on its bytes alone.
+    numpy splits the file (_split_fields) and codes each column without a
+    str per cell (_code_cells), then unquotes a quoted file's values.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -203,14 +199,31 @@ def read_columns(path: str | Path, names: list[str], error: type[Exception]
             data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    if b'"' not in data and b"\0" not in data:
-        data += bytes(_PAD)
-        ends, last = _split_fields(data)
-        longest = max(ends[0], (np.diff(ends) - 1).max(initial=0))
-        # csv.reader raises its own error for a longer field
-        if longest <= csv.field_size_limit():
-            return _split_columns(path, names, error, data, ends, last)
-    return _csv_columns(path, names, error)
+    if b"\0" in data:
+        raise error(f"{_where(path, data, data.find(0))}: NUL byte")
+    quoted = b'"' in data
+    data += bytes(_PAD)
+    ends, last = _split_fields(path, data, quoted, error)
+    starts = np.concatenate(([0], ends[:last[0]] + 1))
+    header = [data[s:e].decode("utf-8")
+              for s, e in zip(starts.tolist(), ends[:last[0] + 1].tolist())]
+    if header == [""]:
+        header = []  # a blank first line
+    picks = _header_index(path, list(map(_unquote, header)), names, error)
+    # record r >= 1 holds fields last[r - 1] + 1 .. last[r]; a blank line
+    # is one empty field
+    first, last = last[:-1] + 1, last[1:]
+    kept = (first < last) | (ends[first] > ends[first - 1] + 1)
+    first, last = first[kept], last[kept]
+    # the 8 bytes from each offset of the file, as one big-endian word
+    words = np.ndarray((len(data) - _PAD + 1,), dtype=">u8", buffer=data,
+                       strides=(1,))
+    columns = [_code_cells(data, words, *_cells(ends, first, last, i))
+               for i in picks]
+    if quoted:
+        columns = [recode(list(map(_unquote, values)), codes)
+                   for values, codes in columns]
+    return columns
 
 
 def _header_index(path, header: list[str], names: list[str],
@@ -223,39 +236,30 @@ def _header_index(path, header: list[str], names: list[str],
     return [where[name] for name in names]
 
 
-def _csv_columns(path, names: list[str], error: type[Exception]
-                 ) -> list[tuple[list[str], np.ndarray]]:
-    """read_columns by csv.reader and code_column; a csv.Error, such as a
-    field longer than csv.field_size_limit(), is raised as error."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            picks = _header_index(path, next(reader), names, error)
-            width = max(picks) + 1
-            columns: list[list[str]] = [[] for _ in names]
-            intern = {}.setdefault
-            # a few thousand rows at a time, so each column is taken out by
-            # C-level list and map calls rather than a Python loop per row
-            for chunk in iter(lambda: list(islice(reader, 4096)), []):
-                rows = [row if len(row) >= width
-                        else row + [""] * (width - len(row))
-                        for row in chunk if row]
-                for column, i in zip(columns, picks):
-                    cells = [row[i] for row in rows]
-                    column.extend(map(intern, cells, cells))
-        except csv.Error as exc:
-            raise error(f"{path}: line {reader.line_num}: {exc}") from None
-    return [code_column(cells) for cells in columns]
+def _where(path, data: bytes, at: int) -> str:
+    """path and the line of data[at], which is not a line break."""
+    return f"{path}: line {len(data[:at + 1].splitlines())}"
+
+
+def _unquote(cell: str) -> str:
+    """A cell's text: a quoted cell without its quotes, '""' read as '"'."""
+    return cell[1:-1].replace('""', '"') if cell[:1] == '"' else cell
 
 
 # zero bytes after a file's own, so that an 8-byte word starts at every
 # offset of the file
 _PAD = 8
+# the longest field in bytes, quotes included (csv.field_size_limit()'s)
+_FIELD_LIMIT = 131072
+# the bytes that may precede an opening '"' or follow a closing one (0: pad)
+_QUOTE_NEIGHBOUR = np.zeros(256, dtype=bool)
+_QUOTE_NEIGHBOUR[list(b'\0,\n\r"')] = True
 
 
-def _split_fields(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Where each field of quote-free CSV bytes (followed by _PAD zero
-    bytes) ends, and which field ends each record.
+def _split_fields(path, data: bytes, quoted: bool, error: type[Exception]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Where each field of NUL-free CSV bytes (followed by _PAD zero bytes)
+    ends, and which field ends each record.
 
     ends[k] is the offset of the ",", "\\n" or "\\r" after field k, or the
     file's length for a last field with no line end, so field k spans
@@ -263,42 +267,46 @@ def _split_fields(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     field. "\\r\\n" ends a record and then an empty one, which is dropped
     as a blank line. Offsets are int32 below 2 GiB, which halves every
     index array.
+
+    If quoted, the '"' pair up in file order, and a separator after an odd
+    number of them is inside a quoted field. An opening '"' must start a
+    field or follow a closing one ('""'), and a closing '"' must end a
+    field or precede an opening one. Raises error, naming path and line,
+    for a '"' out of place, an unterminated quoted field or a field longer
+    than _FIELD_LIMIT bytes.
     """
     size = len(data) - _PAD
     offset = np.int32 if len(data) < 2**31 else np.int64
-    buf = np.frombuffer(data, dtype=np.uint8, count=size)
+    buf = np.frombuffer(data, dtype=np.uint8)  # buf[-1] is a pad byte
     seps = buf == ord(",")
     seps |= buf == ord("\n")
     seps |= buf == ord("\r")
     ends = np.flatnonzero(seps).astype(offset)
     del seps
+    if quoted:
+        quotes = np.flatnonzero(buf == ord('"'))
+        opening, closing = quotes[::2], quotes[1::2]
+        stray = np.concatenate((opening[~_QUOTE_NEIGHBOUR[buf[opening - 1]]],
+                                closing[~_QUOTE_NEIGHBOUR[buf[closing + 1]]]))
+        if stray.size:
+            raise error(f"{_where(path, data, stray.min())}: '\"' does not "
+                        f"open or close a whole field")
+        if len(opening) > len(closing):
+            raise error(f"{_where(path, data, opening[-1])}: unterminated "
+                        f"quoted field")
+        # a uint8 count of '"' wraps at 256 but keeps its parity
+        ends = ends[np.cumsum(buf == ord('"'), dtype=np.uint8)[ends] % 2 == 0]
     closes = buf[ends] != ord(",")
     if data[size - 1] not in b"\n\r":
         ends = np.append(ends, offset(size))
         closes = np.append(closes, True)
+    widths = np.diff(ends, prepend=offset(-1)) - 1
+    over = np.flatnonzero(widths > _FIELD_LIMIT)
+    if over.size:
+        k = over[0]
+        raise error(f"{_where(path, data, ends[k] - widths[k])}: field "
+                    f"larger than field limit ({_FIELD_LIMIT})")
     return ends, np.flatnonzero(closes).astype(offset)
-
-
-def _split_columns(path, names: list[str], error: type[Exception],
-                   data: bytes, ends: np.ndarray, last: np.ndarray
-                   ) -> list[tuple[list[str], np.ndarray]]:
-    """read_columns from _split_fields' offsets and _code_cells."""
-    starts = np.concatenate(([0], ends[:last[0]] + 1))
-    header = [data[s:e].decode("utf-8")
-              for s, e in zip(starts.tolist(), ends[:last[0] + 1].tolist())]
-    if header == [""]:
-        header = []  # a blank first line, as csv.reader reads it
-    picks = _header_index(path, header, names, error)
-    # record r >= 1 holds fields last[r - 1] + 1 .. last[r]; a blank line
-    # is one empty field
-    first, last = last[:-1] + 1, last[1:]
-    kept = (first < last) | (ends[first] > ends[first - 1] + 1)
-    first, last = first[kept], last[kept]
-    # the 8 bytes from each offset of the file, as one big-endian word
-    words = np.ndarray((len(data) - _PAD + 1,), dtype=">u8", buffer=data,
-                       strides=(1,))
-    return [_code_cells(data, words, *_cells(ends, first, last, i))
-            for i in picks]
 
 
 def _cells(ends: np.ndarray, first: np.ndarray, last: np.ndarray, i: int

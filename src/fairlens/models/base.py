@@ -155,6 +155,7 @@ def _model(draw: HyperDraw, n_features: int):
     raise TrainingError(f"unknown kind {draw.kind!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(draw: HyperDraw, folds: list[FoldData], streams: list[Stream | None]
           ) -> tuple[list[TrainedModel], Exception | None]:
     """Fit one draw on each fold's training rows, in fold order.
@@ -164,7 +165,7 @@ def train(draw: HyperDraw, folds: list[FoldData], streams: list[Stream | None]
     and None, or, once a fold fails, the models of the folds before it and
     that fold's error; later folds are not fitted. The mlp folds train
     together in one lockstep loop (nn.fit_folds), each to the weights a fit
-    on its rows alone gives.
+    on its rows alone gives. Overflow is silent: the fit fails as diverged.
     """
     from .nn import DIVERGED, fit_folds
 
@@ -201,7 +202,8 @@ def predict_scores(trained: TrainedModel, X) -> np.ndarray:
     """Scores in [0,1] for each row of X; width must match training.
     Non-finite scores mean a failed fit, so they raise TrainingError."""
     X = np.asarray(X, dtype=np.float64)
-    scores = trained.model.predict_scores(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = trained.model.predict_scores(X)
     if not np.all(np.isfinite(scores)):
         raise TrainingError(f"{trained.kind} produced non-finite scores")
     return scores

@@ -19,6 +19,8 @@ from fairlens import METRIC_NAMES, MODEL_KINDS
 from fairlens.cli import (ConfigError, PredictionFileError, RunConfig,
                           _resolve_seeds, audit_external_predictions,
                           load_run_config, main)
+from fairlens.ingest import (IngestError, load_dataset,
+                             load_dataset_spec)
 from fairlens.report import load_bundle
 from synth import write_recidivism_csv
 
@@ -861,6 +863,55 @@ def test_over_long_field_is_reported_by_audit_and_run(tmp_path, capsys):
     assert "field larger than field limit" in failure["error"]
 
 
+STRAY_QUOTE = "'\"' does not open or close a whole field"
+
+
+# each cell the reader rejects, whether it sits in a column read (grp, race)
+# or in a note column no command reads
+@pytest.mark.parametrize("cell, in_note, message", [
+    ("B\0", False, "NUL byte"),
+    ('"B"x', False, STRAY_QUOTE),
+    ('B"x"', False, STRAY_QUOTE),
+    (' "B"', False, STRAY_QUOTE),
+    ('"B" ', False, STRAY_QUOTE),
+    ('"B', False, "unterminated quoted field"),
+    ('a"b', True, STRAY_QUOTE),
+], ids=["nul", "after-close", "mid-field", "space-before", "space-after",
+        "unterminated", "unread-column"])
+def test_reader_rejects_bad_quoting_and_nul(tmp_path, capsys, cell, in_note,
+                                            message):
+    # the bad cell is on line 5: a quoted note on line 2 holds a "\r\n",
+    # which counts as one line break
+    path = tmp_path / "p.csv"
+    bad = f"0,0.2,B,{cell}" if in_note else f"0,0.2,{cell},"
+    write_lines(path, ["y_true,y_score,grp,note", '1,0.9,A,"two\r\nlines"',
+                       "0,0.4,B,", bad], newline="\r\n")
+    with pytest.raises(PredictionFileError) as exc:
+        audit_external_predictions([("m", str(path))], ["grp"])
+    assert str(exc.value) == f"{path}: line 5: {message}"
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--predictions", f"m={path}", "--features", "grp",
+              "--out", str(tmp_path / "audit")])
+    assert exc.value.code == 2
+    assert f"error: {path}: line 5: {message}" in capsys.readouterr().err
+    # a dataset file: 50 rows on lines 2 to 51, the bad one on line 52
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=50, seed=2)
+    lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
+    bad = "30,M,B,0,1,F,0," + cell if in_note else f"30,M,{cell},0,1,F,0,"
+    write_lines(tmp_path / "t.csv", [lines[0] + ",note"]
+                + [line + "," for line in lines[1:]] + [bad])
+    spec = write_spec(tmp_path, "t.csv")
+    with pytest.raises(IngestError, match=f"t.csv: line 52: {message}"):
+        load_dataset(load_dataset_spec(spec))
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", str(spec), "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "ingest"
+    assert f"t.csv: line 52: {message}" in failure["error"]
+
+
 def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
     # 8000 rows, so the reader's chunks of 4096 rows meet inside the file;
     # B rows come first, but the equal-sized groups are ordered by label
@@ -885,38 +936,28 @@ def test_reader_skips_blank_lines_pads_short_rows_and_reads_crlf(tmp_path):
 
 
 def test_quote_free_files_skip_csv_reader(tmp_path, monkeypatch):
-    # the numpy tokenizer reads a quote-free file, so csv.reader is never
-    # called for it; a file with a quoted cell still goes through
-    # csv.reader and gives the bundle of its unquoted twin
+    # neither a quote-free file nor its twin with a quoted cell is read by
+    # csv.reader, and both give one bundle
     rows = exact_rate_rows()
     lines = ["y_true,y_score,grp"] + [f"{y},{s},{g}" for y, s, g in rows]
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     write_lines(plain, lines, newline="\r\n")
     assert lines[1] == "1,0.8,A"
     write_lines(quoted, [lines[0], '1,0.8,"A"'] + lines[2:], newline="\r\n")
-    real, calls = csv.reader, []
 
     def refused(*args, **kwargs):
-        raise AssertionError("csv.reader called for a quote-free file")
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        raise AssertionError("csv.reader called")
 
     monkeypatch.setattr(csv, "reader", refused)
     a, _ = audit_external_predictions([("m", str(plain))], ["grp"],
                                       threshold=0.5)
-    monkeypatch.setattr(csv, "reader", counted)
     b, _ = audit_external_predictions([("m", str(quoted))], ["grp"],
                                       threshold=0.5)
-    assert len(calls) == 1
     b["datasets"][0]["source_path"] = a["datasets"][0]["source_path"]
     assert a == b
 
 
 def test_shipped_dataset_specs_parse():
-    from fairlens.ingest import load_dataset_spec
-
     configs = Path(__file__).resolve().parent.parent / "configs"
     parsed = 0
     for path in sorted(configs.glob("*.json")):

@@ -604,52 +604,112 @@ def test_coded_encoding_errors_match_per_row_oracle(tmp_path, cells):
 
 
 # ---------------------------------------------------------------------------
-# read_columns: the numpy tokenizer of quote-free files against csv.reader
+# read_columns against csv.reader, the reader it replaced
+
+def csv_reader_columns(path, names):
+    """read_columns by csv.reader and code_column: blank records dropped,
+    short rows padded with empty cells, a repeated name read from its last
+    column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    picks = [max(i for i, h in enumerate(header) if h == name)
+             for name in names]
+    width = max(picks) + 1
+    rows = [row + [""] * (width - len(row)) for row in rows]
+    return [ingest.code_column([row[i] for row in rows]) for i in picks]
+
+
+def assert_reads_as_csv_reader(path, names):
+    by_numpy = read_columns(path, names, IngestError)
+    by_csv = csv_reader_columns(path, names)
+    assert len(by_numpy) == len(by_csv) == len(names)
+    for (values, codes), (csv_values, csv_codes) in zip(by_numpy, by_csv):
+        assert values == csv_values
+        assert np.array_equal(codes, csv_codes) and codes.dtype == np.int64
+    return by_numpy
+
+
+def quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
 
 # widths 0, 1, 7, 8, 9, 16 and 17 bytes; "€" (3 bytes) crosses the first
 # 8-byte word boundary, and several cells share an 8- or 16-byte prefix
 READER_CELLS = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh€",
                 "abcdefg€", "0123456789abcdef", "0123456789abcdefg",
                 "0123456789abcdefZ", "€", " a ", "Z", "😀x", "0.25"]
+# cells that must be quoted: separators, line ends and quotes inside
+QUOTED_CELLS = [",", "a,b", "\n", "a\r\nb", "\r", '"', '""', 'say "hi"',
+                ',\n"\r', "€,😀"]
 
 
-def reader_lines():
+def reader_lines(quoted=False):
     """Rows of one to five cells under the header a,b,c,b (b repeated),
-    with blank lines, and a BOM in the header."""
+    with blank lines, and a BOM in the header; quoted puts every other
+    cell in quotes."""
     rng = np.random.default_rng(7)
     lines = ["\ufeffa,b,c,b"]
     for i in range(80):
         if i % 11 == 3:
             lines.append("")
         picks = rng.integers(0, len(READER_CELLS), size=1 + i % 5)
-        lines.append(",".join(READER_CELLS[k] for k in picks))
+        lines.append(",".join(quote(READER_CELLS[k]) if quoted and j % 2
+                              else READER_CELLS[k]
+                              for j, k in enumerate(picks)))
     return lines
+
+
+def random_quoted_text(rng, newline, final_newline):
+    """A CSV text under the header x,"y,1",x with cells of READER_CELLS,
+    quoted at random, and of QUOTED_CELLS, quoted; with blank lines, short
+    rows and empty quoted cells."""
+    lines = ['x,"y,1",x']
+    for _ in range(rng.integers(0, 12)):
+        if rng.random() < 0.15:
+            lines.append("")
+        cells = []
+        for _ in range(rng.integers(1, 5)):
+            if rng.random() < 0.3:
+                cells.append(quote(rng.choice(QUOTED_CELLS)))
+            else:
+                cell = rng.choice(READER_CELLS)
+                cells.append(quote(cell) if rng.random() < 0.5 else cell)
+        lines.append(",".join(cells))
+    return newline.join(lines) + (newline if final_newline else "")
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_numpy_and_csv_readers_code_columns_alike(tmp_path, monkeypatch,
-                                                  newline, final_newline):
-    lines = reader_lines()
+def test_numpy_and_csv_readers_code_columns_alike(tmp_path, newline,
+                                                  final_newline):
     path = tmp_path / "cells.csv"
-    path.write_text(newline.join(lines) + (newline if final_newline else ""),
-                    encoding="utf-8", newline="")
+    end = newline if final_newline else ""
     # the BOM stays in the first header name, as csv.reader reads it
     names = ["\ufeffa", "b", "c"]
-    by_csv = ingest._csv_columns(path, names, IngestError)
-    monkeypatch.setattr(csv, "reader", None)  # quote-free: never called
-    by_numpy = read_columns(path, names, IngestError)
-    assert len(by_numpy) == len(by_csv) == 3
-    for (values, codes), (csv_values, csv_codes) in zip(by_numpy, by_csv):
-        assert values == csv_values
-        assert np.array_equal(codes, csv_codes) and codes.dtype == np.int64
-    assert len(by_csv[0][1]) == sum(map(bool, lines[1:]))
-    assert set(by_csv[1][0]) <= set(READER_CELLS)
-    assert by_csv[1][0] != by_csv[2][0]  # b reads the last b column
+    plain = reader_lines()
+    path.write_text(newline.join(plain) + end, encoding="utf-8", newline="")
+    by_plain = assert_reads_as_csv_reader(path, names)
+    assert len(by_plain[0][1]) == sum(map(bool, plain[1:]))
+    assert set(by_plain[1][0]) <= set(READER_CELLS)
+    assert by_plain[1][0] != by_plain[2][0]  # b reads the last b column
+    # a quoted and an unquoted spelling of one value get one code
+    path.write_text(newline.join(reader_lines(quoted=True)) + end,
+                    encoding="utf-8", newline="")
+    by_quoted = assert_reads_as_csv_reader(path, names)
+    for (values, codes), (plain_values, plain_codes) in zip(by_quoted,
+                                                            by_plain):
+        assert values == plain_values and np.array_equal(codes, plain_codes)
+    rng = np.random.default_rng([len(newline), final_newline])
+    for _ in range(150):
+        path.write_text(random_quoted_text(rng, newline, final_newline),
+                        encoding="utf-8", newline="")
+        assert_reads_as_csv_reader(path, ["x", "y,1"])
 
 
 def test_both_readers_name_the_same_bad_row(tmp_path):
-    # a quoted cell sends the file to csv.reader; blank lines are not rows
+    # a quoted cell is read as its unquoted twin; blank lines are not rows
     messages = []
     for quote in ("", '"'):
         src = tmp_path / f"toy{len(quote)}.csv"
@@ -667,7 +727,7 @@ def test_both_readers_name_the_same_bad_row(tmp_path):
 
 @pytest.mark.parametrize("cell", ["a", '"a"'])
 def test_blank_first_line_is_an_empty_header(tmp_path, cell):
-    # both readers: the blank line is the header, with no column named ""
+    # the blank line is the header, with no column named ""
     path = tmp_path / "blank.csv"
     path.write_text(f"\n,{cell}\n1,2\n", encoding="utf-8")
     with pytest.raises(IngestError, match="column '' absent from header"):
