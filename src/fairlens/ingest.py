@@ -178,7 +178,9 @@ def read_columns(path: str | Path, names: list[str], error: type[Exception]
     (sorted distinct cells, each row's int64 index into them).
 
     The package's one CSV reader, for dataset and prediction files alike:
-    RFC 4180, UTF-8, header row required. A record ends at "\\n", "\\r" or
+    RFC 4180, UTF-8, header row required; a leading UTF-8 byte-order mark,
+    which spreadsheets write in "CSV UTF-8" exports, is dropped, so it is
+    not part of the first header name. A record ends at "\\n", "\\r" or
     "\\r\\n" outside quotes, and a quoted cell reads as its unquoted text.
     Blank lines are skipped and not counted, so row i of every column is on
     row i + 2, counting the header as row 1. Cells missing from a short row
@@ -191,7 +193,7 @@ def read_columns(path: str | Path, names: list[str], error: type[Exception]
     str per cell (_code_cells), then unquotes a quoted file's values.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     if not data:
         raise error(f"{path}: empty file, header row required")
     try:

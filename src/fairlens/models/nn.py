@@ -17,6 +17,13 @@ and the update are whole-array operations. A fold's short last batch runs
 on its own slice. Each fold draws its init and epoch orders from its own
 stream and computes every product and sum exactly as a fit on its rows
 alone would, so its weights are those bits. Mlp.fit is the one-fold case.
+
+Training runs in float32: the rows, labels, parameters, gradients and
+step buffers. The He-normal init is drawn in float64 and rounded once as
+it is copied into the parameter array; the Python scalars (the learning
+rate, l2, the batch size) are weak under numpy's promotion rules, so every
+step stays in float32. predict_scores takes float64 rows, which promote
+the float32 weights exactly, so scores are a float64 forward pass.
 """
 
 from __future__ import annotations
@@ -92,8 +99,8 @@ def fit_folds(nets: list[Mlp], Xs: list[np.ndarray], ys: list[np.ndarray],
 
     The nets are one draw's: the same widths, epochs, batch size and L2,
     and the Xs have the same width. Afterwards each net's weights and
-    biases are views of its row of one parameter array; a net that
-    diverged is left non-finite for the caller to check.
+    biases are float32 views of its row of one parameter array; a net
+    that diverged is left non-finite for the caller to check.
     """
     first = nets[0]
     m, l2 = first.batch_size, first.l2
@@ -109,10 +116,10 @@ def fit_folds(nets: list[Mlp], Xs: list[np.ndarray], ys: list[np.ndarray],
     rows = [Xs[i].shape[0] for i in rank]
     full = [n // m for n in rows]
     offsets = np.cumsum([0] + rows[:-1]).tolist()
-    X_all = np.concatenate([Xs[i] for i in rank])
-    y_all = np.concatenate([ys[i] for i in rank]).astype(np.float64).reshape(-1, 1)
+    X_all = np.concatenate([Xs[i] for i in rank], dtype=np.float32)
+    y_all = np.concatenate([ys[i] for i in rank], dtype=np.float32).reshape(-1, 1)
 
-    P = np.empty((k, ends[-1]))
+    P = np.empty((k, ends[-1]), dtype=np.float32)
     G = np.empty_like(P)
     W = [P[:, starts[j]:ends[j]].reshape(k, *shapes[j]) for j in range(3)]
     B = [P[:, starts[3 + j]:ends[3 + j]].reshape(k, 1, shapes[j][1])
@@ -128,12 +135,12 @@ def fit_folds(nets: list[Mlp], Xs: list[np.ndarray], ys: list[np.ndarray],
         net.biases = [P[r, starts[3 + j]:ends[3 + j]] for j in range(3)]
 
     (_, h1), (_, h2) = shapes[0], shapes[1]
-    XB = np.empty((k, m, shapes[0][0]))
-    YB = np.empty((k, m, 1))
-    Z3 = np.empty((k, m, 1))
+    XB = np.empty((k, m, shapes[0][0]), dtype=np.float32)
+    YB = np.empty((k, m, 1), dtype=np.float32)
+    Z3 = np.empty((k, m, 1), dtype=np.float32)
     # each layer's deltas overwrite its activations once they are used; the
     # L2 term's scratch T shares that memory, which is dead by the update
-    S = np.empty(max(k * m * (h1 + h2), k * n_weights))
+    S = np.empty(max(k * m * (h1 + h2), k * n_weights), dtype=np.float32)
     A1 = S[:k * m * h1].reshape(k, m, h1)
     A2 = S[k * m * h1:k * m * (h1 + h2)].reshape(k, m, h2)
     T = S[:k * n_weights].reshape(k, n_weights)

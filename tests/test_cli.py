@@ -1029,10 +1029,10 @@ def test_bench_trace_targets_resolve():
 # whole output directory (bundle, figures and CSVs). A change that alters
 # the bundle or a figure on purpose updates these constants and says why
 # in CHANGES.md.
-GOLDEN_BUNDLE_SHA256 = ("008370aa12477c5feaa03a402140e7f7"
-                        "c7651a3f3826fc2f7b9e70fc4de0b7ce")
-GOLDEN_OUT_SHA256 = ("9cb9be3f8d6458f5b6f039dbcb18a930"
-                     "d6aaacef1fe442f21d218932cce809e3")
+GOLDEN_BUNDLE_SHA256 = ("6f919aa96d50e09e779b89151ef75147"
+                        "80649d1eb093fc78e3a26868d898d0a2")
+GOLDEN_OUT_SHA256 = ("2ecddfcb0e127b45111e8f38665e9719"
+                     "35d0c51dd9241a6157f3f6420f40c8ad")
 
 
 def test_golden_bundle_hash(tmp_path):

@@ -610,7 +610,7 @@ def csv_reader_columns(path, names):
     """read_columns by csv.reader and code_column: blank records dropped,
     short rows padded with empty cells, a repeated name read from its last
     column."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [row for row in reader if row]
@@ -686,8 +686,8 @@ def test_numpy_and_csv_readers_code_columns_alike(tmp_path, newline,
                                                   final_newline):
     path = tmp_path / "cells.csv"
     end = newline if final_newline else ""
-    # the BOM stays in the first header name, as csv.reader reads it
-    names = ["\ufeffa", "b", "c"]
+    # the BOM is not part of the first header name, as with utf-8-sig
+    names = ["a", "b", "c"]
     plain = reader_lines()
     path.write_text(newline.join(plain) + end, encoding="utf-8", newline="")
     by_plain = assert_reads_as_csv_reader(path, names)
@@ -732,6 +732,31 @@ def test_blank_first_line_is_an_empty_header(tmp_path, cell):
     path.write_text(f"\n,{cell}\n1,2\n", encoding="utf-8")
     with pytest.raises(IngestError, match="column '' absent from header"):
         read_columns(path, [""], IngestError)
+
+
+@pytest.mark.parametrize("first", ["age", '"age"'])
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, first):
+    # a spreadsheet's "CSV UTF-8" export starts with EF BB BF
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{first},sex\n41,F\n".encode())
+    (ages, age_codes), (sexes, _) = read_columns(path, ["age", "sex"],
+                                                 IngestError)
+    assert (ages, age_codes.tolist(), sexes) == (["41"], [0], ["F"])
+    # line numbers in errors still count the BOM's line as line 1
+    path.write_bytes(b"\xef\xbb\xbf" + f"{first},sex\n41,F\n4\"1,F\n".encode())
+    with pytest.raises(IngestError, match="bom.csv: line 3: '\"' does not"):
+        read_columns(path, ["age"], IngestError)
+
+
+def test_spec_names_the_first_column_after_a_byte_order_mark(tmp_path):
+    src = tmp_path / "bom.csv"
+    src.write_bytes(b"\xef\xbb\xbf" + TOY_CSV.encode())
+    spec = make_spec(source_path=str(src))
+    table = load_dataset(spec)
+    assert row_cells(table, "age") == ["1", "2", "3"]
+    plain, plain_spec = toy_table(tmp_path)
+    assert np.array_equal(encode_features(table, spec).raw_design,
+                          encode_features(plain, plain_spec).raw_design)
 
 
 def test_numpy_reader_memory_does_not_grow_with_cell_width(tmp_path):

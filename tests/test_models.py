@@ -10,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairlens.ingest import (encode_features, fold_normalized, load_dataset,
+                             load_dataset_spec)
 from fairlens.metrics import auc_or_default
+from fairlens.models import nn
 from fairlens.models.base import (FAILURES, KNN_METRICS, MODEL_KINDS,
                                   HyperDraw, TrainingError, sample_hypers,
                                   train)
@@ -141,7 +144,8 @@ def test_logit_regularization_shrinks_weights():
 # The earlier Mlp step and sigmoid, kept as bit-for-bit oracles: the step
 # computed each batch's loss, sent the one-term outer product through
 # matmul and built new arrays for every update; sigmoid picked its two
-# branches by boolean masks.
+# branches by boolean masks. oracle_fit trains in float32, as Mlp does, or
+# in float64, as Mlp did before.
 
 
 def oracle_sigmoid(z):
@@ -168,7 +172,7 @@ def oracle_loss_and_grads(net, X, y):
     m = X.shape[0]
     w = net.weights
     z1, a1, z2, a2, z3, p = oracle_forward(net, X)
-    yc = y.reshape(-1, 1).astype(np.float64)
+    yc = y.reshape(-1, 1).astype(X.dtype)
     ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
     loss = float(np.mean(ce))
     loss += 0.5 * net.l2 * sum(float(np.sum(wi * wi)) for wi in w)
@@ -187,9 +191,12 @@ def oracle_loss_and_grads(net, X, y):
     return loss, [gw1, gw2, gw3], [gb1, gb2, gb3]
 
 
-def oracle_fit(net, X, y, stream):
+def oracle_fit(net, X, y, stream, dtype=np.float32):
     n = X.shape[0]
+    X = X.astype(dtype)
     net._init_params(X.shape[1], stream)
+    net.weights = [w.astype(dtype) for w in net.weights]
+    net.biases = [b.astype(dtype) for b in net.biases]
     for _ in range(net.epochs):
         order = stream.permutation(n)
         for start in range(0, n, net.batch_size):
@@ -203,7 +210,7 @@ def oracle_fit(net, X, y, stream):
 
 
 def bits(a):
-    return a.view(np.int64)
+    return a.view(np.int32 if a.dtype == np.float32 else np.int64)
 
 
 def test_sigmoid_bits_match_masked_oracle():
@@ -252,17 +259,23 @@ def test_mlp_gradients_match_finite_differences(monkeypatch):
         init(self, n_features, stream)
         for b in self.biases:
             b += rng.normal(scale=0.1, size=b.shape)
-        start["w"] = [w.copy() for w in self.weights]
-        start["b"] = [b.copy() for b in self.biases]
+        # training starts from the float32 rounding of these; the finite
+        # differences below are taken in float64 at that point
+        start["w"] = [w.astype(np.float32).astype(np.float64)
+                      for w in self.weights]
+        start["b"] = [b.astype(np.float32).astype(np.float64)
+                      for b in self.biases]
 
-    # one epoch of one batch holding every row is one SGD step, so the
-    # gradient it took is (start - end) / LEARNING_RATE
+    # one epoch of one batch holding every row is one SGD step; at learning
+    # rate 1 the gradient it took is start - end, with no division to
+    # magnify the float32 rounding of end
     monkeypatch.setattr(Mlp, "_init_params", nudged_init)
+    monkeypatch.setattr(nn, "LEARNING_RATE", 1.0)
     net = Mlp(hidden1=3, hidden2=4, l2=0.01, epochs=1, batch_size=8)
     net.fit(X, y, Stream("gradcheck"))
     ws, bs = start["w"], start["b"]
-    gws = [(w0 - w1) / LEARNING_RATE for w0, w1 in zip(ws, net.weights)]
-    gbs = [(b0 - b1) / LEARNING_RATE for b0, b1 in zip(bs, net.biases)]
+    gws = [w0 - w1 for w0, w1 in zip(ws, net.weights)]
+    gbs = [b0 - b1 for b0, b1 in zip(bs, net.biases)]
 
     def loss():
         """Mean BCE plus the L2 weight penalty: the loss training descends."""
@@ -369,6 +382,26 @@ def test_one_fold_train_equals_mlp_fit():
     got, want = model.model, net
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(bits(a), bits(b))
+
+
+def test_float32_training_keeps_float64_validation_auc():
+    # Mlp trains in float32; the float64 oracle is how it trained before.
+    # On this slice of the stand-in the AUCs differ by 3.3e-5.
+    root = Path(__file__).resolve().parents[1]
+    spec = load_dataset_spec(root / "configs" / "recidivism_standin.json")
+    enc = encode_features(load_dataset(spec), spec)
+    train_rows, val_rows = np.arange(1500), np.arange(1500, 2500)
+    X, y = fold_normalized(enc, train_rows), enc.labels
+    kw = dict(hidden1=10, hidden2=20, epochs=20)
+    net = Mlp(**kw).fit(X[train_rows], y[train_rows], Stream("precision", 3))
+    old = oracle_fit(Mlp(**kw), X[train_rows], y[train_rows],
+                     Stream("precision", 3), dtype=np.float64)
+    assert net.weights[0].dtype == np.float32
+    assert old.weights[0].dtype == np.float64
+    aucs = [auc_or_default(m.predict_scores(X[val_rows]), y[val_rows])[0]
+            for m in (net, old)]
+    assert aucs[0] > 0.6
+    assert abs(aucs[0] - aucs[1]) <= 0.005
 
 
 def fold_order_results(kind, draws, folds, base_ids):
