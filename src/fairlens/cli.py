@@ -25,7 +25,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError, validate
 
 from . import MODEL_KINDS
 from .ingest import (IngestError, decode_values, is_path_component,
@@ -33,7 +32,7 @@ from .ingest import (IngestError, decode_values, is_path_component,
 from .pipeline import (ConfigError, PredictionFileError, RunConfig,
                        audit_predictions, recluster, reproject, run_pipeline)
 from .report import (BundleError, export_bundle, load_bundle, render_all,
-                     write_atomic)
+                     schema_error, write_atomic)
 
 log = logging.getLogger("fairlens")
 
@@ -48,7 +47,7 @@ RUN_CONFIG_SCHEMA = {"type": "object", "properties": {
     "seeds": {"type": ["integer", "array"], "items": {"type": "integer"}},
     "folds": {"type": "integer"}, "draws": {"type": "integer"},
     "validation_fraction": {"type": "number"}, "out": {"type": "string"},
-}}
+}, "additionalProperties": False}
 
 
 def load_run_config(path: str | Path) -> dict:
@@ -58,16 +57,11 @@ def load_run_config(path: str | Path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        validate(raw, RUN_CONFIG_SCHEMA)
-    except ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
-        raise ConfigError(f"config {path}: {where}: {exc.message}") from None
-    unknown = set(raw) - set(RUN_CONFIG_SCHEMA["properties"])
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+    error = schema_error(RUN_CONFIG_SCHEMA, raw)
+    if error:
+        raise ConfigError(f"config {path}: {error}")
     base = Path(path).parent
     if "datasets" in raw:
         raw["datasets"] = [str((base / d)) if not Path(d).is_absolute() else d

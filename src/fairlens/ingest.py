@@ -36,10 +36,10 @@ def is_path_component(name) -> bool:
 
     Dataset and protected-feature names become directories of the rendered
     figures, so an empty name, a dot segment or a path separator would
-    write outside the output directory.
+    write outside the output directory, and no file system takes a NUL.
     """
     return (isinstance(name, str) and name not in ("", ".", "..")
-            and "/" not in name and "\\" not in name)
+            and not any(c in name for c in "/\\\0"))
 
 
 @dataclass(frozen=True)

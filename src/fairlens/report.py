@@ -24,8 +24,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError
-from jsonschema.exceptions import best_match
 
 from . import METRIC_NAMES
 from .cluster import leaf_order
@@ -403,6 +401,65 @@ def _object(nullable: bool = False, **properties) -> dict:
             "required": list(properties), "properties": properties}
 
 
+_TYPES = {"array": list, "object": dict, "string": str, "boolean": bool,
+          "null": type(None)}
+
+
+def _is_type(value, types) -> bool:
+    # a float with no fraction is an integer; a bool is no number
+    if isinstance(types, list):
+        return any(_is_type(value, name) for name in types)
+    if isinstance(value, bool) or types not in ("number", "integer"):
+        return isinstance(value, _TYPES.get(types, ()))
+    return isinstance(value, int) or (isinstance(value, float) and (
+        types == "number" or value.is_integer()))
+
+
+def _fault(where: tuple, message: str) -> str:
+    return f"{'/'.join(map(str, where)) or 'top level'}: {message}"
+
+
+def schema_error(schema: dict, value, where: tuple = ()) -> str | None:
+    """The first entry, in walk order, where value fails schema, as
+    "<json/path>: <message>"; None when it passes. Checks, with Draft
+    2020-12's meaning, the keywords BUNDLE_SCHEMA and RUN_CONFIG_SCHEMA
+    use: type, const, enum, items, prefixItems, minItems, maxItems,
+    required, properties and additionalProperties."""
+    if "type" in schema and not _is_type(value, schema["type"]):
+        return _fault(where, f"{value!r:.40} is not of type {schema['type']}")
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    # JSON keeps booleans apart from numbers, but 1.0 equals 1
+    if allowed is not None and not any(
+            isinstance(v, bool) == isinstance(value, bool) and v == value
+            for v in allowed):
+        return _fault(where, f"{value!r:.40} is not one of {allowed}")
+    children = ()
+    if isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            return _fault(where, f"{len(value)} items, not {lo} to {hi}")
+        prefix, rest = schema.get("prefixItems", []), schema.get("items", {})
+        children = ((i, prefix[i] if i < len(prefix) else rest, item)
+                    for i, item in enumerate(value))
+    elif isinstance(value, dict):
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            return _fault(where, f"missing keys {missing}")
+        known = schema.get("properties", {})
+        extra = schema.get("additionalProperties", {})
+        if extra is False and not known.keys() >= value.keys():
+            unknown = sorted(value.keys() - known.keys())
+            return _fault(where, f"unknown keys {unknown}")
+        children = ((key, known.get(key, extra), item)
+                    for key, item in value.items())
+    for key, sub, item in children:
+        # {} holds any value
+        error = sub and schema_error(sub, item, where + (key,))
+        if error:
+            return error
+    return None
+
+
 _STRING, _INTEGER, _NUMBER = ({"type": "string"}, {"type": "integer"},
                               {"type": "number"})
 _STRINGS, _NUMBERS = _array(_STRING), _array(_NUMBER)
@@ -443,16 +500,6 @@ BUNDLE_SCHEMA = _object(
         nullable=True,
         conditions=_array(_array(_STRING, minItems=2, maxItems=2), minItems=1),
         n_seeds=_INTEGER, mean=_TABLE, std=_TABLE))
-# built once: jsonschema.validate would check the constant schema itself
-# on every call, which costs more than validating a bundle
-_BUNDLE_VALIDATOR = Draft202012Validator(BUNDLE_SCHEMA)
-
-
-def _schema_validate(bundle: dict) -> None:
-    """Raise the ValidationError jsonschema.validate would raise."""
-    error = best_match(_BUNDLE_VALIDATOR.iter_errors(bundle))
-    if error is not None:
-        raise error
 
 
 def _jsonify(obj, out: list[str], indent: int) -> None:
@@ -506,7 +553,9 @@ def _scalar(v) -> str:
 
 def bundle_json_text(bundle: dict) -> str:
     """Canonical JSON: sorted keys, 17-significant-digit floats."""
-    _schema_validate(bundle)
+    error = schema_error(BUNDLE_SCHEMA, bundle)
+    if error:
+        raise ValueError(f"bundle fails the bundle schema at {error}")
     out: list[str] = []
     _jsonify(bundle, out, 0)
     return "".join(out) + "\n"
@@ -570,14 +619,11 @@ def load_bundle(path: str | Path) -> dict:
             bundle = json.load(fh, parse_constant=refuse,
                                parse_float=finite(float),
                                parse_int=finite(int))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BundleError(f"{path}: not a JSON bundle ({exc})") from exc
-    try:
-        _schema_validate(bundle)
-    except ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "top level"
-        raise BundleError(f"{path}: fails the bundle schema at {where}: "
-                          f"{exc.message}") from exc
+    error = schema_error(BUNDLE_SCHEMA, bundle)
+    if error:
+        raise BundleError(f"{path}: fails the bundle schema at {error}")
     for ds in bundle["datasets"]:
         for name in [ds["name"]] + [feat["name"] for feat in ds["features"]]:
             if not is_path_component(name):

@@ -3,6 +3,7 @@ prediction file reader, subcommands."""
 
 import csv
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -106,6 +107,21 @@ def test_run_config_rejects_wrong_value_types(tmp_path, entry):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blob", [b'{"seeds": "\xff"}',
+                                  b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "deep"])
+def test_unreadable_run_config_exits_2(tmp_path, capsys, blob):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(blob)
+    with pytest.raises(ConfigError, match=re.escape(f"config {cfg} ")):
+        load_run_config(cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: config {cfg} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -656,23 +672,24 @@ def test_loaded_bundle_names_cannot_escape_out(tmp_path):
                  "--out", str(src / "out")]) == 0
     bundle = json.loads((src / "out" / "bundle.json").read_text(encoding="utf-8"))
     out = tmp_path / "work" / "X"
-    for field in ("dataset", "feature"):
+    for field, name in itertools.product(("dataset", "feature"),
+                                         ("../escaped", "a\0b")):
         bad = json.loads(json.dumps(bundle))
         if field == "dataset":
-            bad["datasets"][0]["name"] = "../escaped"
+            bad["datasets"][0]["name"] = name
         else:
-            bad["datasets"][0]["features"][0]["name"] = "../escaped"
+            bad["datasets"][0]["features"][0]["name"] = name
         path = src / f"bad_{field}.json"
         path.write_text(json.dumps(bad), encoding="utf-8")
         before = path.read_bytes()
         for argv in (["report"], ["cluster"], ["pca", "--components", "2"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--bundle", str(path), "--out", str(out)])
-            assert exc.value.code == 2, (field, argv)
+            assert exc.value.code == 2, (field, name, argv)
             assert path.read_bytes() == before
             outside = [p for p in tmp_path.rglob("*") if src not in p.parents
                        and p != src]
-            assert outside == [], (field, argv)
+            assert outside == [], (field, name, argv)
 
 
 def _first_cell(bundle):
@@ -721,6 +738,8 @@ def _no_robustness_conditions(bundle):
 
 @pytest.mark.parametrize("text", [
     "not json", '{"schema_version": 2}', b"\xff\xfe",
+    # deeper than json.load can recurse
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
     # a run bundle edited so that its entries have the wrong type or its
     # parts disagree
     pytest.param(_colonless_row_key, id="colonless-row-key"),
@@ -777,17 +796,21 @@ def test_run_dataset_name_cannot_escape_out(tmp_path):
     write_recidivism_csv(src / "t.csv", n_rows=200, seed=1)
     spec = write_spec(src, "t.csv", name="t")
     raw = json.loads(spec.read_text(encoding="utf-8"))
-    raw["name"] = "../escaped"
-    spec.write_text(json.dumps(raw), encoding="utf-8")
-    out = tmp_path / "work" / "X"
-    code = main(["run", "--datasets", str(spec), "--seeds", "1", "--folds", "2",
-                 "--search-draws", "1", "--models", "nb", "--out", str(out)])
-    assert code == 1
-    manifest = json.loads((out / "failures.json").read_text(encoding="utf-8"))
-    assert "directory name" in json.dumps(manifest)
-    outside = [p for p in tmp_path.rglob("*")
-               if p.is_file() and src not in p.parents and out not in p.parents]
-    assert outside == []
+    # a NUL is no path separator, but no file system takes it in a name
+    for name in ("../escaped", "a\0b"):
+        raw["name"] = name
+        spec.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "work" / "X"
+        code = main(["run", "--datasets", str(spec), "--seeds", "1",
+                     "--folds", "2", "--search-draws", "1", "--models", "nb",
+                     "--out", str(out)])
+        assert code == 1, name
+        manifest = json.loads((out / "failures.json").read_text(
+            encoding="utf-8"))
+        assert "directory name" in json.dumps(manifest), name
+        outside = [p for p in tmp_path.rglob("*") if p.is_file()
+                   and src not in p.parents and out not in p.parents]
+        assert outside == [], name
 
 
 # -- prediction file reader ---------------------------------------------------
@@ -1052,7 +1075,9 @@ GOLDEN_AUDIT_OUT_SHA256 = ("2d153385c1f3615882c2486ddd106ec5"
                            "d547a2693ea4237d0682f17a9837bebe")
 
 
-def test_golden_audit_hash(tmp_path):
+def golden_audit_argv(dir_path: Path) -> list[str]:
+    """Write the golden audit's prediction files into dir_path and return
+    its arguments, which name them relative to dir_path."""
     rng = np.random.default_rng(21)
     n = 900
     y = rng.integers(0, 2, size=n)
@@ -1061,14 +1086,18 @@ def test_golden_audit_hash(tmp_path):
     sel = (rng.uniform(size=n) < 0.2).astype(int)
     for name, lift in (("m1", 0.35), ("m2", 0.2)):
         scores = np.clip(lift * y + rng.uniform(0, 1 - lift, size=n), 0, 1)
-        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+        with open(dir_path / f"{name}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["y_true", "y_score", "grp", "sex", "sel"])
             w.writerows((int(a), "%.6f" % s, g, x, int(v))
                         for a, s, g, x, v in zip(y, scores, grp, sex, sel))
     # relative input paths: the bundle records them as given
-    argv = ["audit", "--predictions", "m1=m1.csv", "--predictions",
+    return ["audit", "--predictions", "m1=m1.csv", "--predictions",
             "m2=m2.csv", "--features", "grp,sex", "--validation-column", "sel"]
+
+
+def test_golden_audit_hash(tmp_path):
+    argv = golden_audit_argv(tmp_path)
     out = tmp_path / "out"
     assert run_module(argv, out, cwd=tmp_path) == GOLDEN_AUDIT_BUNDLE_SHA256
     assert (out / "audit" / "grp" / "seed0" / "pca.svg").exists()

@@ -6,8 +6,9 @@ it, so the numbers can be produced, tested and re-analysed without the
 rendering layer.
 
 Nor does the CLI load modules it never runs: a fresh interpreter that
-imports fairlens.cli must not have the network, XML or multiprocessing
-modules in sys.modules, nor numpy.ma after a run and an audit.
+imports fairlens.cli must not have the network, XML, multiprocessing or
+jsonschema modules in sys.modules, nor numpy.ma or jsonschema after a
+run and an audit.
 """
 
 import ast
@@ -61,11 +62,12 @@ def test_import_scan_sees_relative_imports():
 
 
 # Loaded by nothing the CLI runs: xml.sax pulls in urllib, http, email,
-# socket and ssl, multiprocessing is needed only for --jobs > 1, and
-# ingest reads CSV files with numpy alone.
+# socket and ssl, multiprocessing is needed only for --jobs > 1, ingest
+# reads CSV files with numpy alone, and report.schema_error checks the
+# bundle and run-config schemas (jsonschema is a test dependency).
 UNUSED_MODULES = ("xml.sax", "urllib.request", "http.client", "email",
                   "socket", "ssl", "_ssl", "multiprocessing",
-                  "concurrent.futures.process", "csv", "_csv")
+                  "concurrent.futures.process", "csv", "_csv", "jsonschema")
 
 
 def test_cli_import_loads_no_unused_modules():
@@ -78,7 +80,8 @@ def test_cli_import_loads_no_unused_modules():
 
 
 # np.unique without a return_* flag imports numpy.ma (numpy 2.4), about
-# 8 ms of a run; nothing fairlens computes needs it.
+# 8 ms of a run; nothing fairlens computes needs it. Writing and checking
+# the bundles does not load jsonschema either.
 def test_run_and_audit_do_not_load_numpy_ma(tmp_path):
     write_recidivism_csv(tmp_path / "t.csv", n_rows=300, seed=6)
     spec = {"name": "tiny", "source_path": "t.csv",
@@ -103,8 +106,8 @@ def test_run_and_audit_do_not_load_numpy_ma(tmp_path):
         " 'logit,mlp,knn,rf,tree,nb', '--out', 'run']) == 0\n"
         "assert main(['audit', '--predictions', 'm1=m1.csv', '--features',"
         " 'grp', '--validation-column', 'sel', '--out', 'audit']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "print('numpy.ma' in sys.modules, 'jsonschema' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                           check=True, capture_output=True, text=True)
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]

@@ -11,14 +11,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
-from jsonschema import Draft202012Validator, ValidationError
+from test_cli import golden_audit_argv, tiny_run  # noqa: F401 (a fixture)
 
 from fairlens import METRIC_NAMES
+from fairlens.cli import RUN_CONFIG_SCHEMA, main
 from fairlens.pipeline import cell_record
 from fairlens.report import (BUNDLE_SCHEMA, _esc, bundle_json_text, export_bundle,
                              heat_color, load_bundle, render_clustermap_svg,
                              render_pca_scatter_svg,
-                             render_robustness_heatmap_svg, render_all)
+                             render_robustness_heatmap_svg, render_all,
+                             schema_error)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -246,16 +248,17 @@ def test_bundle_keys_are_sorted_and_text_is_stable(tmp_path):
 
 
 def test_bundle_schema_is_a_valid_schema():
-    # bundles are validated against a prebuilt validator, which does not
-    # check the schema itself
-    Draft202012Validator.check_schema(BUNDLE_SCHEMA)
+    # and so is the run config's: schema_error trusts both to be well formed
+    jsonschema = pytest.importorskip("jsonschema")
+    for schema in (BUNDLE_SCHEMA, RUN_CONFIG_SCHEMA):
+        jsonschema.Draft202012Validator.check_schema(schema)
 
 
 def test_schema_rejects_feature_without_results():
     rng = np.random.default_rng(11)
     bundle = tiny_bundle(rng)
     bundle["datasets"][0]["features"][0]["results"] = []
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="at datasets/0/features/0/results: "):
         bundle_json_text(bundle)
 
 
@@ -263,8 +266,133 @@ def test_schema_rejects_wrong_metric_count():
     rng = np.random.default_rng(12)
     bundle = tiny_bundle(rng)
     bundle["metric_names"] = bundle["metric_names"][:-1]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="at metric_names: "):
         bundle_json_text(bundle)
+
+
+# -- the schema checker -------------------------------------------------------
+
+SCHEMA_KEYWORDS = {"type", "const", "enum", "items", "prefixItems",
+                   "minItems", "maxItems", "required", "properties",
+                   "additionalProperties"}
+
+
+def subschemas(schema: dict):
+    """schema and every schema nested in it."""
+    yield schema
+    nested = list(schema.get("prefixItems", []))
+    nested += [schema[k] for k in ("items", "additionalProperties")
+               if k in schema]
+    nested += schema.get("properties", {}).values()
+    for sub in nested:
+        if isinstance(sub, dict):
+            yield from subschemas(sub)
+
+
+@pytest.mark.parametrize("schema", [BUNDLE_SCHEMA, RUN_CONFIG_SCHEMA],
+                         ids=["bundle", "run-config"])
+def test_schemas_use_only_the_keywords_schema_error_implements(schema):
+    used = set().union(*(sub.keys() for sub in subschemas(schema)))
+    assert used <= SCHEMA_KEYWORDS, sorted(used - SCHEMA_KEYWORDS)
+    assert len(list(subschemas(schema))) > 5
+
+
+@pytest.mark.parametrize("value, ok", [
+    (1, True), (1.0, True), (-3, True), (True, False), (False, False),
+    (3.5, False), (float("inf"), False), (float("nan"), False), ("1", False),
+])
+def test_schema_error_integer_follows_draft_2020_12(value, ok):
+    assert (schema_error({"type": "integer"}, value) is None) == ok
+    assert (schema_error({"const": 1}, value) is None) == (ok and value == 1)
+
+
+def test_schema_error_names_the_first_failing_path():
+    schema = {"type": "object", "required": ["a"], "properties": {
+        "a": {"type": "array", "items": {"type": "number"}}},
+        "additionalProperties": False}
+    assert schema_error(schema, {"a": [1, 2.5]}) is None
+    assert schema_error(schema, {"a": [1, "x", None]}) == (
+        "a/1: 'x' is not of type number")
+    assert schema_error(schema, {}) == "top level: missing keys ['a']"
+    assert schema_error(schema, {"a": [], "z": 0, "b": 1}) == (
+        "top level: unknown keys ['b', 'z']")
+    assert schema_error({"enum": ["x"]}, True).startswith("top level: True ")
+
+
+# Replacements and additions for the mutation corpus: every JSON type, the
+# integers a boolean or a float could be mistaken for, and the strings of
+# the bundle's enum.
+MUTANTS = (None, True, False, 0, 1, -2, 1.0, 2.5, "x", "", "full", "audit",
+           [], [1], [0, 1, 0.5, 2], ["a", "b"], {}, {"label": "a", "size": 1})
+
+
+def mutations(bundle: dict, rng, count: int):
+    """count copies of bundle, each with one entry replaced, deleted or
+    added; the container mutated is drawn uniformly from all of them."""
+    containers = []
+
+    def walk(node, where):
+        containers.append(where)
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, item in items:
+            if isinstance(item, (dict, list)):
+                walk(item, where + (key,))
+
+    walk(bundle, ())
+    text = json.dumps(bundle)
+    for _ in range(count):
+        copy = json.loads(text)
+        node = copy
+        for key in containers[rng.integers(len(containers))]:
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = rng.integers(3) if keys else 2
+        mutant = MUTANTS[rng.integers(len(MUTANTS))]
+        if op == 0:
+            node[keys[rng.integers(len(keys))]] = mutant
+        elif op == 1:
+            del node[keys[rng.integers(len(keys))]]
+        elif isinstance(node, dict):
+            key = rng.choice(["extra", *BUNDLE_SCHEMA["properties"]])
+            node[str(key)] = mutant
+        else:  # a new entry, or a copy of one, at a random place
+            if keys and rng.integers(2):
+                mutant = node[keys[rng.integers(len(keys))]]
+            node.insert(int(rng.integers(len(node) + 1)), mutant)
+        yield copy
+
+
+def test_schema_error_agrees_with_jsonschema(tmp_path, monkeypatch, tiny_run):
+    jsonschema = pytest.importorskip("jsonschema")
+    validators = {"bundle": jsonschema.Draft202012Validator(BUNDLE_SCHEMA),
+                  "config": jsonschema.Draft202012Validator(RUN_CONFIG_SCHEMA)}
+    monkeypatch.chdir(tmp_path)
+    assert main(golden_audit_argv(tmp_path) + ["--out", "audit"]) == 0
+    bundles = [json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+               for out in (tiny_run[1], tmp_path / "audit")]
+    rng = np.random.default_rng(26)
+    cases = [("bundle", b) for b in bundles]
+    cases += [("bundle", m) for b in bundles for m in mutations(b, rng, 160)]
+    cases += [("config", c) for c in (
+        {}, {"datasets": "recidivism_standin.json"}, {"models": "nb"},
+        {"plot_models": "nb"}, {"plot_models": ["nb", 1]}, {"seeds": "3"},
+        {"folds": "x"}, {"folds": True}, {"draws": 2.5},
+        {"validation_fraction": "abc"}, {"validation_fraction": False},
+        {"out": 5}, {"seedz": 3}, [], {"folds": 3.0}, {"seeds": 1.0},
+        {"seeds": [0, 1.0]}, {"seeds": [True]}, {"seeds": True},
+        {"draws": float("inf")}, {"validation_fraction": float("inf")},
+        {"validation_fraction": 1}, {"datasets": ["a.json"], "out": "o"})]
+    refused = 0
+    for name, value in cases:
+        error = schema_error(validators[name].schema, value)
+        where = {"/".join(map(str, e.absolute_path)) or "top level"
+                 for e in validators[name].iter_errors(value)}
+        assert (error is None) == (not where), (name, error, where)
+        # a refusal names a path that jsonschema refuses too
+        assert error is None or error.split(": ", 1)[0] in where, where
+        refused += error is not None
+    # the corpus holds both outcomes in number
+    assert 100 < refused < len(cases) - 100
 
 
 def test_non_finite_floats_are_refused():
