@@ -138,8 +138,11 @@ def load_dataset_spec(path: str | Path) -> DatasetSpec:
     path wherever the spec and its data are checked out.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except RecursionError as exc:
+        raise IngestError(f"dataset spec {path}: JSON nested too deeply") from exc
     try:
         columns = tuple(
             ColumnSpec(

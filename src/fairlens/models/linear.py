@@ -6,9 +6,9 @@ the weights (bias unpenalized):
     J(w, b) = mean_i [softplus(z_i) - y_i z_i] + (1 / 2C) ||w||^2
 
 with z = Xw + b. Descent uses backtracking (Armijo) line search and stops
-when the gradient norm drops to 1e-8 or the iteration cap is hit. The
-regularized optimum is finite and unique, so this is reliable without any
-solver dependency.
+when the gradient norm drops to 1e-8, a step no longer moves (w, b), or
+the iteration cap is hit. The regularized optimum is finite and unique, so
+this is reliable without any solver dependency.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class Logit:
                 step *= 0.5
             else:
                 break  # no acceptable step left; gradient is numerically flat
+            if b_new == b and np.array_equal(w_new, w):
+                break  # a step too small to move: each later one would repeat it
             w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
             self.n_iter = it + 1
         self.w = w

@@ -19,7 +19,7 @@ stream and computes every product and sum exactly as a fit on its rows
 alone would, so its weights are those bits. Mlp.fit is the one-fold case.
 
 Training runs in float32: the rows, labels, parameters, gradients and
-step buffers. The He-normal init is drawn in float64 and rounded once as
+step buffers. The He-uniform init is drawn in float64 and rounded once as
 it is copied into the parameter array; the Python scalars (the learning
 rate, l2, the batch size) are weak under numpy's promotion rules, so every
 step stays in float32. predict_scores takes float64 rows, which promote
@@ -59,9 +59,9 @@ class Mlp:
         self.weights = []
         self.biases = []
         for fan_in, fan_out in self._shapes(n_features):
-            scale = np.sqrt(2.0 / fan_in)  # He init for the ReLU stack
-            w = stream.normal(fan_in * fan_out).reshape(fan_in, fan_out) * scale
-            self.weights.append(w)
+            limit = np.sqrt(6.0 / fan_in)  # He-uniform, variance 2 / fan_in
+            u = stream.uniforms(fan_in * fan_out).reshape(fan_in, fan_out)
+            self.weights.append(limit * (2.0 * u - 1.0))
             self.biases.append(np.zeros(fan_out))
 
     @property

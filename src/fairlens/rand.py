@@ -1,15 +1,12 @@
 """Deterministic random streams for reproducible runs.
 
-Every random decision in the pipeline draws from a Philox 4x64 counter-based
-bit generator whose 128-bit key is derived from a tuple of stream identifiers
-(strings and integers) via SplitMix64 mixing. The same identifiers always
-yield the same stream, on any platform and in any execution order, which is
-what makes whole runs byte-reproducible.
-
-Only the raw Philox output is consumed here; derived quantities (bounded
-integers, uniforms, shuffles) are produced by the fixed algorithms below, not
-by numpy.random.Generator methods, so they cannot drift between numpy
-versions.
+Every random decision in the pipeline draws from a counter-based SplitMix64
+stream (Steele, Lea & Flood 2014). Its ids (strings and integers) are folded
+by SplitMix64 mixing into a start and an odd gamma, and word i is
+mix(start + i * gamma), in numpy uint64 arithmetic, which wraps. The same
+ids always yield the same stream, on any platform and in any execution
+order, which is what makes whole runs byte-reproducible. Bounded integers,
+uniforms and permutations come from the fixed algorithms below.
 """
 
 from __future__ import annotations
@@ -57,28 +54,48 @@ class Stream:
     """A deterministic source of raw 64-bit words and derived draws."""
 
     def __init__(self, *ids: int | str):
-        self._start(ids, _fold_ids(_KEY_START, ids))
+        self._keyed(ids, _fold_ids(_KEY_START, ids))
 
-    def _start(self, ids: tuple, acc: int) -> None:
+    def _keyed(self, ids: tuple, acc: int) -> None:
         self.ids = ids
         self._acc = acc  # the ids folded, before the key's last mix
-        self._bg = np.random.Philox(key=np.array(_key(acc), dtype=np.uint64))
+        start, gamma = _key(acc)
+        # an odd gamma with at least 24 bit transitions, as Java's
+        # SplittableRandom.mixGamma makes it
+        gamma |= 1
+        if (gamma ^ (gamma >> 1)).bit_count() < 24:
+            gamma ^= 0xAAAAAAAAAAAAAAAA
+        self._start, self._gamma = np.uint64(start), np.uint64(gamma)
+        self._count = 0  # words drawn so far
         self._buf: list[int] = []
 
     def child(self, *more: int | str) -> "Stream":
         """Independent stream keyed by this stream's ids plus more, the
         stream Stream(*self.ids, *more) is; only more is folded in."""
         child = Stream.__new__(Stream)
-        child._start((*self.ids, *more), _fold_ids(self._acc, more))
+        child._keyed((*self.ids, *more), _fold_ids(self._acc, more))
         return child
 
     def raw(self, n: int) -> np.ndarray:
         """Next n raw uint64 words."""
-        return np.asarray(self._bg.random_raw(n), dtype=np.uint64)
+        z = np.arange(self._count, self._count + n, dtype=np.uint64)
+        self._count += n
+        z *= self._gamma
+        z += self._start
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """Next n uniform floats in [0, 1), the top 53 bits of raw words."""
+        return (self.raw(n) >> 11).astype(np.float64) * 2.0**-53
 
     def _next_word(self) -> int:
         if not self._buf:
-            self._buf = [int(w) for w in self.raw(64)][::-1]
+            self._buf = self.raw(64).tolist()[::-1]
         return self._buf.pop()
 
     def randbelow(self, n: int) -> int:
@@ -100,21 +117,6 @@ class Stream:
         u = (self._next_word() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
-    def normal(self, size: int) -> np.ndarray:
-        """Standard normals via Box-Muller on paired uniforms."""
-        m = (size + 1) // 2
-        u1 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        u2 = (self.raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        out = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-        return out[:size]
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, n: int) -> np.ndarray:
         """Random permutation of range(n): the stable argsort of n raw keys.
 
@@ -134,5 +136,5 @@ class Stream:
 
     def choice_indices(self, n_draws: int, upper: int) -> np.ndarray:
         """n_draws integers in [0, upper), vectorized (floor of uniforms)."""
-        u = (self.raw(n_draws) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = self.uniforms(n_draws)
         return np.minimum((u * upper).astype(np.int64), upper - 1)

@@ -1,11 +1,12 @@
 """Seeded k-fold splits with a per-fold validation carve-out.
 
-Rows are shuffled once per (dataset, seed) with Fisher-Yates and dealt into
-k folds (the first n mod k folds get the extra row). For each fold the test
-set is the fold itself; the validation set is drawn from the remaining block
-under a per-fold sub-seed, sized round-half-away-from-zero(fraction * block),
-never below 1; the rest is the training set. Index arrays are returned
-sorted, so downstream float reductions see a canonical row order.
+Rows are permuted once per (dataset, seed) by Stream.permutation and
+dealt into k folds by np.array_split (the first n mod k folds get the
+extra row). For each fold the test set is the fold itself; the validation
+set is the head of the remaining block permuted under a per-fold
+sub-seed, sized round-half-away-from-zero(fraction * block), never below
+1; the rest is the training set. Index arrays are returned sorted, so
+downstream float reductions see a canonical row order.
 """
 
 from __future__ import annotations
@@ -44,29 +45,19 @@ def kfold_splits(
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(f"validation fraction out of range: {validation_fraction}")
 
-    order = list(range(n_rows))
-    Stream("split", dataset, seed).shuffle(order)
-
-    base, extra = divmod(n_rows, n_folds)
-    folds: list[np.ndarray] = []
-    at = 0
-    for f in range(n_folds):
-        size = base + (1 if f < extra else 0)
-        folds.append(np.array(sorted(order[at:at + size]), dtype=np.int64))
-        at += size
+    order = Stream("split", dataset, seed).permutation(n_rows)
+    folds = [np.sort(fold) for fold in np.array_split(order, n_folds)]
 
     splits: list[FoldSplit] = []
     for f in range(n_folds):
-        test = folds[f]
-        block = [i for g, fold in enumerate(folds) if g != f for i in fold]
+        block = np.concatenate(folds[:f] + folds[f + 1:])
         n_val = max(1, round_half_away(validation_fraction * len(block)))
         if n_val >= len(block):
             raise ValueError(
                 f"fold {f}: validation size {n_val} leaves no training rows "
                 f"(block of {len(block)})"
             )
-        Stream("validation", dataset, seed, f).shuffle(block)
-        validation = np.array(sorted(block[:n_val]), dtype=np.int64)
-        train = np.array(sorted(block[n_val:]), dtype=np.int64)
-        splits.append(FoldSplit(fold=f, train=train, validation=validation, test=test))
+        block = block[Stream("validation", dataset, seed, f).permutation(len(block))]
+        splits.append(FoldSplit(fold=f, train=np.sort(block[n_val:]),
+                                validation=np.sort(block[:n_val]), test=folds[f]))
     return splits

@@ -28,7 +28,9 @@ import csv
 import math
 from pathlib import Path
 
-from fairlens.rand import Stream
+import numpy as np
+
+from fairlens import rand
 
 RECID_COLUMNS = (
     "age",
@@ -59,14 +61,25 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
+def _uniforms(*ids):
+    """Endless uniforms in [0, 1), the top 53 bits of successive Philox 4x64
+    words under the key fairlens.rand derives from ids. The stand-in was
+    written from this stream, so it stays on Philox to keep its bytes."""
+    key = rand._key(rand._fold_ids(rand._KEY_START, ids))
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    while True:
+        for word in bits.random_raw(64).tolist():
+            yield (word >> 11) * 2.0**-53
+
+
 def recidivism_rows(n_rows: int, seed: int) -> list[tuple]:
     """Generate n_rows of (age, sex, race, juv, priors, degree, label)."""
     if n_rows < 1:
         raise ValueError("need at least one row")
-    s = Stream("synth", "recidivism", seed)
+    uniform = _uniforms("synth", "recidivism", seed).__next__
     rows = []
     for _ in range(n_rows):
-        u = s.uniform()
+        u = uniform()
         acc = 0.0
         race, shift, priors_scale, gain = (_RACE_MIX[-1][0], _RACE_MIX[-1][2],
                                            _RACE_MIX[-1][3], _RACE_MIX[-1][4])
@@ -75,11 +88,11 @@ def recidivism_rows(n_rows: int, seed: int) -> list[tuple]:
             if u < acc:
                 race, shift, priors_scale, gain = label, sh, sc, gn
                 break
-        sex = "M" if s.uniform() < 0.81 else "F"
-        age = 18 + int(52 * s.uniform() ** 2)  # skewed young
-        juv = int(-0.4 * math.log(s.uniform()))
-        priors = min(38, int(-priors_scale * math.log(s.uniform())))
-        degree = "F" if s.uniform() < 0.64 else "M"
+        sex = "M" if uniform() < 0.81 else "F"
+        age = 18 + int(52 * uniform() ** 2)  # skewed young
+        juv = int(-0.4 * math.log(uniform()))
+        priors = min(38, int(-priors_scale * math.log(uniform())))
+        degree = "F" if uniform() < 0.64 else "M"
 
         # gain scales only the feature signal, so it sets separability;
         # shift then re-centers the group's base rate
@@ -91,7 +104,7 @@ def recidivism_rows(n_rows: int, seed: int) -> list[tuple]:
             + 0.22 * (sex == "M")
         )
         risk = _BASE_INTERCEPT + shift + gain * signal
-        label = int(s.uniform() < _sigmoid(risk))
+        label = int(uniform() < _sigmoid(risk))
         rows.append((age, sex, race, juv, priors, degree, label))
     return rows
 

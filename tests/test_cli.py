@@ -385,6 +385,24 @@ def test_malformed_spec_writes_failure_manifest(tmp_path, spec_text):
     assert "wrong JSON type" in failure["error"]
 
 
+def test_deep_spec_fails_alone_and_the_run_goes_on(tmp_path):
+    # deeper than json.load can recurse
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    write_recidivism_csv(tmp_path / "t.csv", n_rows=200, seed=3)
+    good = write_spec(tmp_path, "t.csv", name="good")
+    out = tmp_path / "out"
+    assert main(["run", "--datasets", f"{deep},{good}", "--seeds", "1",
+                 "--folds", "3", "--search-draws", "1",
+                 "--models", "nb", "--out", str(out)]) == 1
+    failure, = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure["stage"] == "ingest"
+    assert failure["dataset"] == str(deep)
+    assert "nested too deeply" in failure["error"]
+    bundle = load_bundle(out / "bundle.json")
+    assert [t["dataset"] for t in bundle["training"]] == ["good"]
+
+
 def test_bad_flags_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--datasets", "x.json", "--models", "bogus",
@@ -1052,10 +1070,10 @@ def test_bench_trace_targets_resolve():
 # whole output directory (bundle, figures and CSVs). A change that alters
 # the bundle or a figure on purpose updates these constants and says why
 # in CHANGES.md.
-GOLDEN_BUNDLE_SHA256 = ("6f919aa96d50e09e779b89151ef75147"
-                        "80649d1eb093fc78e3a26868d898d0a2")
-GOLDEN_OUT_SHA256 = ("2ecddfcb0e127b45111e8f38665e9719"
-                     "35d0c51dd9241a6157f3f6420f40c8ad")
+GOLDEN_BUNDLE_SHA256 = ("9e581dfaf46bb6664ea8751b073a8ad2"
+                        "38f1b696fc7fb9ae13c610b3f7a5d820")
+GOLDEN_OUT_SHA256 = ("53ab1d99579c49bcc6c35d2ea1933715"
+                     "61f158d29d020196b547f8ebf3ce2dff")
 
 
 def test_golden_bundle_hash(tmp_path):

@@ -216,7 +216,7 @@ def test_aggregate_all_empty_gives_flagged_vector():
 
 
 def test_aggregate_pooled_auc_matches_pair_oracle():
-    from tests.test_metrics import pair_count_auc
+    from test_metrics import pair_count_auc
 
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -232,8 +232,8 @@ def test_aggregate_pooled_auc_matches_pair_oracle():
 def old_aggregate_over_folds(fold_counts, fold_scores, fold_labels, n_total):
     """Copy of the per-group pooling the fold-pooled aggregate_over_folds
     replaced: sum the fold counts, rank the concatenated fold scores."""
-    from tests.test_metrics import (old_compute_metric_vector,
-                                    old_empty_metric_vector)
+    from test_metrics import (old_compute_metric_vector,
+                              old_empty_metric_vector)
 
     if not fold_counts:
         raise ValueError("need at least one fold")

@@ -18,7 +18,8 @@ from fairlens.models.base import (FAILURES, KNN_METRICS, MODEL_KINDS,
                                   HyperDraw, TrainingError, sample_hypers,
                                   train)
 from fairlens.models.bayes import GaussianNb
-from fairlens.models.linear import Logit, logit_objective, sigmoid
+from fairlens.models.linear import (GRADIENT_TOL, MAX_ITER, Logit,
+                                    logit_objective, sigmoid)
 from fairlens.models.neighbors import Knn
 from fairlens.models.nn import LEARNING_RATE, Mlp, fit_folds
 from fairlens.models.search import (DrawResult, FoldData, search_kind,
@@ -137,6 +138,41 @@ def test_logit_regularization_shrinks_weights():
     loose = Logit(c=10.0).fit(X, y)
     tight = Logit(c=0.1).fit(X, y)
     assert np.linalg.norm(tight.w) < np.linalg.norm(loose.w)
+
+
+def descent_to_max_iter(X, y, c):
+    """Logit.fit's descent without its fixed-point stop: it runs until the
+    gradient norm test, a failed line search or MAX_ITER ends it."""
+    w, b = np.zeros(X.shape[1]), 0.0
+    loss, gw, gb = logit_objective(w, b, X, y, c)
+    for _ in range(MAX_ITER):
+        gnorm2 = float(gw @ gw) + gb * gb
+        if np.sqrt(gnorm2) <= GRADIENT_TOL:
+            break
+        step = 1.0
+        while step > 1e-16:
+            w_new, b_new = w - step * gw, b - step * gb
+            new = logit_objective(w_new, b_new, X, y, c)
+            if new[0] <= loss - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+        else:
+            break
+        w, b, (loss, gw, gb) = w_new, b_new, new
+    return w, b
+
+
+def test_logit_stops_at_a_fixed_point_with_the_same_weights():
+    # this fit reaches, with its gradient norm still above GRADIENT_TOL, a
+    # point where the accepted step no longer moves w or b; the descent
+    # without the stop repeats that step until MAX_ITER (about 1.7 s)
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(4000, 10))
+    y = (X @ rng.normal(size=10) + rng.normal(size=4000) > 0).astype(float)
+    model = Logit(c=10.0).fit(X, y)
+    assert model.n_iter < 100
+    w, b = descent_to_max_iter(X, y, 10.0)
+    assert model.b == b and np.array_equal(model.w, w)
 
 
 # ------------------------------------------------------------------------ mlp

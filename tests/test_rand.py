@@ -3,12 +3,96 @@
 import numpy as np
 import pytest
 
+from fairlens import rand
+from fairlens.models.nn import Mlp
 from fairlens.rand import Stream
+
+M64 = (1 << 64) - 1
 
 
 def key(stream):
-    """The Philox key a stream was started with."""
-    return stream._bg.state["state"]["key"].tolist()
+    """The (start, gamma) pair a stream was started with."""
+    return int(stream._start), int(stream._gamma)
+
+
+def transitions(word):
+    """Bit transitions of a 64-bit word (count of i with bit i != bit i+1)."""
+    return bin(word ^ (word >> 1)).count("1")
+
+
+def mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & M64
+    return z ^ (z >> 31)
+
+
+def reference_words(ids, first, n):
+    """Words first .. first + n - 1 of Stream(*ids): SplitMix64 in Python
+    ints, word i = mix(start + i * gamma) mod 2**64."""
+    start, gamma = rand._key(rand._fold_ids(rand._KEY_START, ids))
+    gamma |= 1
+    if transitions(gamma) < 24:
+        gamma ^= 0xAAAAAAAAAAAAAAAA
+    return [mix((start + i * gamma) & M64) for i in range(first, first + n)]
+
+
+IDS = [(), ("a",), ("a", 0), (0, "a"), ("compas", 3, "fold", 1),
+       ("hypers", "knn", 2**63 - 1), ("é", -5, ""), (-(2**70),)] + [
+       ("many", i) for i in range(40)]
+
+
+@pytest.mark.parametrize("ids", IDS)
+def test_raw_matches_splitmix64_reference(ids):
+    s, at = Stream(*ids), 0
+    for n in (1, 7, 64, 4200, 0, 3):
+        assert s.raw(n).tolist() == reference_words(ids, at, n)
+        at += n
+
+
+@pytest.mark.parametrize("ids, more", [(("rf", 3), ("tree", 7)),
+                                       ((), ("x", 1)), (("a",), ())])
+def test_child_raw_matches_reference(ids, more):
+    child = Stream(*ids).child(*more)
+    child.raw(5)
+    assert child.raw(70).tolist() == reference_words(ids + more, 5, 70)
+
+
+@pytest.mark.parametrize("word", [0, 1, M64, 0xAAAAAAAAAAAAAAAA, 1 << 63,
+                                  0xFFFFFFFF00000000, 0x0F0F0F0F0F0F0F0F])
+def test_gamma_is_odd_with_enough_transitions(monkeypatch, word):
+    monkeypatch.setattr(rand, "_key", lambda acc: (7, word))
+    _, g = key(Stream("g"))
+    assert g & 1 and transitions(g) >= 24
+    if transitions(word | 1) >= 24:
+        assert g == word | 1
+
+
+def test_stream_gammas_are_odd_with_enough_transitions():
+    for ids in IDS:
+        _, g = key(Stream(*ids))
+        assert g & 1 and transitions(g) >= 24
+
+
+def test_uniforms_are_the_top_53_bits_of_raw_words():
+    words = Stream("uf").raw(1000)
+    u = Stream("uf").uniforms(1000)
+    assert u.dtype == np.float64
+    assert np.array_equal(u, (words >> 11).astype(np.float64) * 2.0**-53)
+    assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
+
+
+@pytest.mark.parametrize("fan_in", [1, 10, 90])
+def test_mlp_init_is_he_uniform(fan_in):
+    net = Mlp(hidden1=200, hidden2=3)
+    net._init_params(fan_in, Stream("init", fan_in))
+    w = net.weights[0]
+    limit = np.sqrt(6.0 / fan_in)
+    assert w.shape == (fan_in, 200)
+    assert float(np.abs(w).max()) <= limit
+    # U(-a, a) has variance a**2 / 3 = 2 / fan_in, He et al.'s
+    assert abs(float(w.var()) * fan_in / 2.0 - 1.0) < 0.2
+    assert abs(float(w.mean())) < 0.1 * limit
+    assert all(np.all(b == 0.0) for b in net.biases)
 
 
 def test_same_ids_same_stream():
@@ -63,22 +147,6 @@ def test_uniform_interval_scaling():
     s = Stream("u2")
     u = np.array([s.uniform(0.1, 10.0) for _ in range(5000)])
     assert float(u.min()) >= 0.1 and float(u.max()) < 10.0
-
-
-def test_normal_moments():
-    z = Stream("n").normal(size=40000)
-    assert abs(float(z.mean())) < 0.03
-    assert abs(float(z.std()) - 1.0) < 0.03
-
-
-def test_shuffle_is_permutation_and_deterministic():
-    items1 = list(range(50))
-    items2 = list(range(50))
-    Stream("sh", 0).shuffle(items1)
-    Stream("sh", 0).shuffle(items2)
-    assert items1 == items2
-    assert sorted(items1) == list(range(50))
-    assert items1 != list(range(50))  # astronomically unlikely to be identity
 
 
 def test_permutation_covers_range():
