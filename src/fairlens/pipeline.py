@@ -347,6 +347,10 @@ def _search_job(payload):
     return dataset, seed, kind, outcome
 
 
+# the kinds by how long one paper-scale seed's search takes, longest first
+LONGEST_FIRST = ("mlp", "rf", "logit", "knn", "tree", "nb")
+
+
 def _search_all(jobs: list, n_jobs: int) -> tuple[dict, dict]:
     """Search outcomes by (seed, kind), and the error for each one lost.
 
@@ -354,13 +358,16 @@ def _search_all(jobs: list, n_jobs: int) -> tuple[dict, dict]:
     finished. Each of those runs once more, alone in a fresh one-worker
     pool, so a search is lost only when it takes down its own worker; which
     searches are lost then does not depend on timing. The pool modules
-    load only here, so a serial run never imports multiprocessing.
+    load only here, so a serial run never imports multiprocessing. A pool
+    gets the searches longest kind first, so the last to start are short
+    (Graham's LPT order).
     """
     if n_jobs == 1 or len(jobs) < 2:
         return {(seed, kind): outcome
                 for _, seed, kind, outcome in map(_search_job, jobs)}, {}
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+    jobs = sorted(jobs, key=lambda job: LONGEST_FIRST.index(job[2]))
     outcomes, broken, lost = {}, [], {}
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         futures = [pool.submit(_search_job, job) for job in jobs]

@@ -445,6 +445,42 @@ def test_parallel_jobs_match_serial_with_lockstep_mlp(tmp_path):
     assert a == b
 
 
+def test_parallel_searches_start_longest_kind_first(monkeypatch):
+    import concurrent.futures
+
+    from fairlens import pipeline
+
+    submitted = []
+
+    class InlinePool:
+        """Runs nothing: records the submit order and returns a label."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            submitted.append((job[1], job[2]))
+            future = concurrent.futures.Future()
+            future.set_result((job[0], job[1], job[2], f"{job[2]} {job[1]}"))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    jobs = [("d", seed, kind, [], []) for seed in (0, 1) for kind in MODEL_KINDS]
+    outcomes, lost = pipeline._search_all(jobs, 2)
+    assert submitted == [(seed, kind)
+                         for kind in ("mlp", "rf", "logit", "knn", "tree", "nb")
+                         for seed in (0, 1)]
+    assert outcomes == {(seed, kind): f"{kind} {seed}"
+                        for seed in (0, 1) for kind in MODEL_KINDS}
+    assert lost == {}
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers must inherit the patched search")
 def test_dead_worker_fails_its_search_not_the_run(tmp_path, monkeypatch,
@@ -1070,10 +1106,10 @@ def test_bench_trace_targets_resolve():
 # whole output directory (bundle, figures and CSVs). A change that alters
 # the bundle or a figure on purpose updates these constants and says why
 # in CHANGES.md.
-GOLDEN_BUNDLE_SHA256 = ("9e581dfaf46bb6664ea8751b073a8ad2"
-                        "38f1b696fc7fb9ae13c610b3f7a5d820")
-GOLDEN_OUT_SHA256 = ("53ab1d99579c49bcc6c35d2ea1933715"
-                     "61f158d29d020196b547f8ebf3ce2dff")
+GOLDEN_BUNDLE_SHA256 = ("9792b1ab41af58ae0df96585371e457e"
+                        "bdec46cead989587a4402c2c6bbc9c68")
+GOLDEN_OUT_SHA256 = ("239a9ceb5f9e633f49ddbb5fd1f8cc9b"
+                     "53da12152152bacad8e11903b9968ca3")
 
 
 def test_golden_bundle_hash(tmp_path):

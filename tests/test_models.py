@@ -4,7 +4,7 @@ gradient checks against finite differences, and search selection."""
 import os
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,27 @@ def blobs(rng, n=60, gap=3.0):
     ])
     y = np.array([0] * half + [1] * (n - half))
     return X, y
+
+
+def simd_level_outputs(script, *args):
+    """The output lines of script, run in a fresh interpreter by default and
+    with numpy's X86_V4 (AVX512_SKX), AVX512_ICL and AVX512_SPR dispatch
+    targets disabled."""
+    import fairlens
+
+    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = package_root
+
+    def lines(**extra):
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env={**env, **extra}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    return lines(), lines(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 
 
 # -------------------------------------------------------------- sample_hypers
@@ -177,13 +198,8 @@ def test_logit_stops_at_a_fixed_point_with_the_same_weights():
 
 # ------------------------------------------------------------------------ mlp
 
-# The earlier Mlp step and sigmoid, kept as bit-for-bit oracles: the step
-# computed each batch's loss, sent the one-term outer product through
-# matmul and built new arrays for every update; sigmoid picked its two
-# branches by boolean masks. oracle_fit trains in float32, as Mlp does, or
-# in float64, as Mlp did before.
-
-
+# The sigmoid that linear.sigmoid replaced, kept as its bit-for-bit oracle:
+# it picked its two branches by boolean masks.
 def oracle_sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -194,6 +210,7 @@ def oracle_sigmoid(z):
 
 
 def oracle_forward(net, X):
+    """Mlp's float64 scoring pass, written out: its scores are output 5."""
     w, b = net.weights, net.biases
     z1 = X @ w[0] + b[0]
     a1 = np.maximum(z1, 0.0)
@@ -203,45 +220,63 @@ def oracle_forward(net, X):
     return z1, a1, z2, a2, z3, oracle_sigmoid(z3)
 
 
-def oracle_loss_and_grads(net, X, y):
-    """Mean-BCE-plus-L2 loss and gradients on one batch (y is 0/1)."""
-    m = X.shape[0]
-    w = net.weights
-    z1, a1, z2, a2, z3, p = oracle_forward(net, X)
-    yc = y.reshape(-1, 1).astype(X.dtype)
-    ce = np.maximum(z3, 0.0) - yc * z3 + np.log1p(np.exp(-np.abs(z3)))
-    loss = float(np.mean(ce))
-    loss += 0.5 * net.l2 * sum(float(np.sum(wi * wi)) for wi in w)
+def oracle_fit(net, X, y, stream):
+    """One fold's fit in plain 2-D numpy, by fit_folds' arithmetic.
 
-    dz3 = (p - yc) / m
-    gw3 = a2.T @ dz3 + net.l2 * w[2]
-    gb3 = dz3.sum(axis=0)
-    da2 = dz3 @ w[2].T
-    dz2 = da2 * (z2 > 0)
-    gw2 = a1.T @ dz2 + net.l2 * w[1]
-    gb2 = dz2.sum(axis=0)
-    da1 = dz2 @ w[1].T
-    dz1 = da1 * (z1 > 0)
-    gw1 = X.T @ dz1 + net.l2 * w[0]
-    gb1 = dz1.sum(axis=0)
-    return loss, [gw1, gw2, gw3], [gb1, gb2, gb3]
-
-
-def oracle_fit(net, X, y, stream, dtype=np.float32):
-    n = X.shape[0]
-    X = X.astype(dtype)
-    net._init_params(X.shape[1], stream)
-    net.weights = [w.astype(dtype) for w in net.weights]
-    net.biases = [b.astype(dtype) for b in net.biases]
+    Each bias is the last row of its layer's block, so the rows and each
+    hidden layer's activations carry a ones column, and a layer's deltas
+    get a column more than its width (from the bias row; never read). The
+    training sigmoid is 1 / (1 + exp(-z)), the learning rate over the batch
+    size scales the output deltas, L2 is a decay of the weights, and the
+    back product through the hidden layers takes a contiguous w1.T.
+    """
+    n, f = X.shape
+    net._init_params(f, stream)
+    blocks = [np.vstack([w, b]).astype(np.float32)
+              for w, b in zip(net.weights, net.biases)]
+    # rows are [x | 1 | y], as fit_folds gathers them: with one unit in a
+    # layer its product is a matrix-vector one, whose bits follow the stride
+    rows = np.hstack([X, np.ones((n, 1)), y.reshape(-1, 1)]).astype(np.float32)
+    decay = np.float32(1.0 - LEARNING_RATE * net.l2)
     for _ in range(net.epochs):
         order = stream.permutation(n)
         for start in range(0, n, net.batch_size):
             idx = order[start:start + net.batch_size]
-            _, gws, gbs = oracle_loss_and_grads(net, X[idx], y[idx])
-            for wi, gw in zip(net.weights, gws):
-                wi -= LEARNING_RATE * gw
-            for bi, gb in zip(net.biases, gbs):
-                bi -= LEARNING_RATE * gb
+            batch, ones = rows[idx], np.ones((idx.size, 1), dtype=np.float32)
+            x, labels = batch[:, :-1], batch[:, -1:]
+            a1 = np.hstack([np.maximum(x @ blocks[0], 0.0), ones])
+            a2 = np.hstack([np.maximum(a1 @ blocks[1], 0.0), ones])
+            s = 1 / (1 + np.exp(-(a2 @ blocks[2])))
+            dz3 = (s - labels) * (LEARNING_RATE / idx.size)
+            d2 = dz3 * blocks[2].T * (a2 > 0)
+            d1 = d2[:, :-1] @ np.ascontiguousarray(blocks[1].T) * (a1 > 0)
+            grads = [x.T @ d1[:, :-1], a1.T @ d2[:, :-1], a2.T @ dz3]
+            for block, g in zip(blocks, grads):
+                block[:-1] *= decay
+                block -= g
+    net.weights = [block[:-1] for block in blocks]
+    net.biases = [block[-1] for block in blocks]
+    return net
+
+
+def float64_reference_fit(net, X, y, stream):
+    """Mlp's fit before it trained in float32: float64 throughout, bias adds
+    and sums, and the L2 term added to each weight gradient."""
+    n = X.shape[0]
+    net._init_params(X.shape[1], stream)
+    w, b = net.weights, net.biases
+    for _ in range(net.epochs):
+        order = stream.permutation(n)
+        for start in range(0, n, net.batch_size):
+            idx = order[start:start + net.batch_size]
+            x, yc = X[idx], y[idx].reshape(-1, 1)
+            z1, a1, z2, a2, _, p = oracle_forward(net, x)
+            dz3 = (p - yc) / idx.size
+            dz2 = dz3 @ w[2].T * (z2 > 0)
+            dz1 = dz2 @ w[1].T * (z1 > 0)
+            for layer, (inp, dz) in enumerate(((x, dz1), (a1, dz2), (a2, dz3))):
+                w[layer] -= LEARNING_RATE * (inp.T @ dz + net.l2 * w[layer])
+                b[layer] -= LEARNING_RATE * dz.sum(axis=0)
     return net
 
 
@@ -421,8 +456,8 @@ def test_one_fold_train_equals_mlp_fit():
 
 
 def test_float32_training_keeps_float64_validation_auc():
-    # Mlp trains in float32; the float64 oracle is how it trained before.
-    # On this slice of the stand-in the AUCs differ by 3.3e-5.
+    # Mlp trains in float32; the float64 reference is how it trained before.
+    # On this slice of the stand-in the AUCs differ by 1.6e-5.
     root = Path(__file__).resolve().parents[1]
     spec = load_dataset_spec(root / "configs" / "recidivism_standin.json")
     enc = encode_features(load_dataset(spec), spec)
@@ -430,14 +465,100 @@ def test_float32_training_keeps_float64_validation_auc():
     X, y = fold_normalized(enc, train_rows), enc.labels
     kw = dict(hidden1=10, hidden2=20, epochs=20)
     net = Mlp(**kw).fit(X[train_rows], y[train_rows], Stream("precision", 3))
-    old = oracle_fit(Mlp(**kw), X[train_rows], y[train_rows],
-                     Stream("precision", 3), dtype=np.float64)
+    old = float64_reference_fit(Mlp(**kw), X[train_rows], y[train_rows],
+                                Stream("precision", 3))
     assert net.weights[0].dtype == np.float32
     assert old.weights[0].dtype == np.float64
     aucs = [auc_or_default(m.predict_scores(X[val_rows]), y[val_rows])[0]
             for m in (net, old)]
     assert aucs[0] > 0.6
     assert abs(aucs[0] - aucs[1]) <= 0.005
+
+
+class CountingNumpy:
+    """numpy, counting by name the calls made through it."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_mlp_step_makes_22_numpy_calls_and_an_epoch_one_take(monkeypatch):
+    # per step: 5 forward (3 products, 2 ReLUs), 6 for the output deltas
+    # (4 for the sigmoid), 1 for both ReLU masks, 3 weight-gradient
+    # products, 5 for the hidden deltas and 2 for the update
+    rng = np.random.default_rng(55)
+    Xs = [rng.normal(size=(48, 3)) for _ in range(2)]  # 3 batches each
+    ys = [(rng.random(48) < 0.5).astype(np.int64) for _ in range(2)]
+    calls = []
+    for epochs in (1, 3):
+        counting = CountingNumpy()
+        monkeypatch.setattr(nn, "np", counting)
+        nets = [Mlp(hidden1=4, hidden2=5, epochs=epochs, batch_size=16)
+                for _ in Xs]
+        fit_folds(nets, Xs, ys, [Stream("count", i) for i in range(2)])
+        calls.append(counting.calls)
+    two_epochs = calls[1] - calls[0]
+    assert two_epochs["take"] == 2
+    assert sum(two_epochs.values()) == 2 * (1 + 3 * 22)
+
+
+def test_training_sigmoid_overflow_raises_no_warning():
+    # exp(-z) overflows to inf below z = -88, where 1 / (1 + inf) gives the
+    # right 0; fit_folds ignores that overflow itself, so a direct fit
+    # raises no RuntimeWarning under the suite's warnings-as-errors filter
+    rng = np.random.default_rng(56)
+    X = 300.0 * rng.normal(size=(32, 3))
+    y = (rng.random(32) < 0.5).astype(np.int64)
+    kw = dict(hidden1=4, hidden2=5, epochs=2, batch_size=32)
+    start = Mlp(**kw)
+    start._init_params(3, Stream("overflow"))
+    assert oracle_forward(start, X)[4].min() < -88  # the first step's z3
+    net = Mlp(**kw).fit(X, y, Stream("overflow"))
+    assert all(np.all(np.isfinite(p)) for p in net.weights + net.biases)
+
+
+# prints the sha256 of each width multiplier's weights and biases after a
+# lockstep fit on three folds of the stand-in
+_MLP_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from fairlens.ingest import (encode_features, fold_normalized, load_dataset,
+                             load_dataset_spec)
+from fairlens.models.nn import Mlp, fit_folds
+from fairlens.rand import Stream
+spec = load_dataset_spec(sys.argv[1])
+enc = encode_features(load_dataset(spec), spec)
+X, y = fold_normalized(enc, np.arange(2400)), enc.labels
+parts = [np.arange(0, 800), np.arange(800, 1599), np.arange(1599, 2400)]
+f = X.shape[1]
+for p in (1, 3):
+    nets = [Mlp(hidden1=p * f, hidden2=(p + 1) * f, epochs=3) for _ in parts]
+    fit_folds(nets, [X[r] for r in parts], [y[r] for r in parts],
+              [Stream("simd", p, i) for i in range(3)])
+    params = [q for net in nets for q in net.weights + net.biases]
+    print(p, hashlib.sha256(b"".join(q.tobytes() for q in params)).hexdigest())
+"""
+
+
+def test_mlp_weights_do_not_depend_on_numpy_simd_level():
+    # numpy's float32 exp and elementwise loops must round alike with its
+    # AVX512_SKX, AVX512_ICL and AVX512_SPR targets off. AVX512F stays on,
+    # and the matrix products still tie the bits to the OpenBLAS kernel; on
+    # a CPU without AVX-512 both runs take one path.
+    spec = Path(__file__).resolve().parents[1] / "configs" / "recidivism_standin.json"
+    default, disabled = simd_level_outputs(_MLP_DIGESTS, str(spec))
+    assert len(default) == 2
+    assert default == disabled
 
 
 def fold_order_results(kind, draws, folds, base_ids):
@@ -641,24 +762,9 @@ for metric in KNN_METRICS:
 def test_knn_distances_do_not_depend_on_numpy_simd_level():
     # numpy's AVX-512 power and cbrt round differently from its AVX2 and
     # baseline paths; on a CPU without AVX-512 both runs take one path
-    import fairlens
-
-    package_root = str(Path(fairlens.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items()
-           if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = package_root
-
-    def digests(**extra):
-        done = subprocess.run([sys.executable, "-c", _DISTANCE_DIGESTS],
-                              env={**env, **extra}, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return done.stdout.splitlines()
-
-    default = digests()
+    default, disabled = simd_level_outputs(_DISTANCE_DIGESTS)
     assert len(default) == len(KNN_METRICS)
-    assert default == digests(
-        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    assert default == disabled
 
 
 def test_knn_bit_identical_on_duplicated_grid():
